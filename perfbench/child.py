@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 import gates as g
+from tracer import PHASES, TARGETS, Tracer, per_layer_metrics
 from workloads import STAGES, WORKLOADS, flag_value
 
 
@@ -34,37 +35,20 @@ def main(job_path):
     if job["setup_only"]:
         return result
 
-    tracer = None
-    if job["trace"]:
-        from tracer import Tracer
-
-        tracer = Tracer()
-        tracer.install()
-
-    # Coarse phase timers at the names kglm.cli looks up: one clock pair
-    # per call, so untraced runs can report the throughput of phases
-    # that have no CLI stage of their own.
-    phases = {}
+    # Every pass times the phases, one span per call, so that
+    # untraced passes can report the throughput of phases that have no
+    # CLI stage of their own; a traced pass wraps every target.
+    tracer = Tracer()
+    tracer.install(TARGETS if job["trace"] else PHASES)
+    # the rank oracle re-scores with the scorer the eval-link stage used
     captured = {}
+    evaluate = kglm.cli.link_prediction_eval
 
-    def phase(attr, keep_first_arg=False):
-        fn = getattr(kglm.cli, attr)
-        phases[attr] = []
+    def capture_scorer(scorer, *args, **kwargs):
+        captured["scorer"] = scorer
+        return evaluate(scorer, *args, **kwargs)
 
-        def timed(*args, **kwargs):
-            if keep_first_arg:
-                captured[attr] = args[0]
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                phases[attr].append(time.perf_counter() - t0)
-
-        setattr(kglm.cli, attr, timed)
-
-    for attr in ("generate_corpus", "train_bilm", "aggregate_static", "export_embeddings", "train_scorer"):
-        phase(attr)
-    phase("link_prediction_eval", keep_first_arg=True)
+    kglm.cli.link_prediction_eval = capture_scorer
 
     spec = WORKLOADS[job["workload"]]
     data, out = job["data"], job["out"]
@@ -102,10 +86,8 @@ def main(job_path):
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     result["stage_s"] = stage_s
     result["wall_s"] = sum(stage_s.values())
-    result["phase_s"] = phases
-    if tracer is not None:
-        from tracer import per_layer_metrics
-
+    result["phase_s"] = {name: tracer.durations(name) for _, _, name in PHASES}
+    if job["trace"]:
         result["per_layer"] = per_layer_metrics(tracer)
         result["adam_steps"] = tracer.summary()[2]["optim.adam_step"]
 
@@ -127,27 +109,29 @@ def main(job_path):
     counts["corpus_bytes"] = os.path.getsize(walked)
     counts["checkpoint_bytes"] = os.path.getsize(os.path.join(out, "model.ckpt"))
 
-    losses = g.check_loss_trace(gates, os.path.join(out, "loss_trace.tsv"), epochs)
     (train, valid, test), n_ent, n_rel = g.split_ids(data, out)
+    losses, uniform_loss = g.check_loss_trace(
+        gates, os.path.join(out, "loss_trace.tsv"), epochs, n_ent, n_rel)
     proj = int(flag_value(spec["flags"], "--proj"))
     dim = int(flag_value(spec["flags"], "--entity-dim")) + int(flag_value(spec["flags"], "--relation-dim")) + 2 * proj
     g.check_vec(gates, os.path.join(out, "embeddings.entities.vec"), n_ent, dim)
     g.check_vec(gates, os.path.join(out, "embeddings.relations.vec"), n_rel, dim)
     heads, tails = g.known_answers(train, valid, test)
+    ranks = g.read_ranks(gates, os.path.join(out, "link_ranks.tsv"), len(test))
     g.check_link_sample(
-        gates, captured["link_prediction_eval"], os.path.join(out, "link_ranks.tsv"), test, heads, tails,
-        np.random.default_rng([job["seed"], 11]), n_sample=20,
+        gates, captured["scorer"], ranks, test, heads, tails, np.random.default_rng([job["seed"], 11]), n_sample=20,
     )
     scorer_epochs = int(flag_value(spec["flags"], "--scorer-epochs"))
     counts["link_queries"] = 2 * len(test)
     counts["mean_filter_size"] = g.mean_filter_size(test, heads, tails)
-    counts["scorer_triples"] = len(train) * scorer_epochs * len(phases["train_scorer"])
+    counts["scorer_triples"] = len(train) * scorer_epochs * len(result["phase_s"]["scoring.train_scorer"])
 
     result["quality"] = {
         "train_loss": losses[-1],
-        "link_mrr": g.read_link_mrr(os.path.join(out, "link_metrics.tsv")),
+        "link_mrr": g.check_link_mrr(gates, ranks, os.path.join(out, "link_metrics.tsv")),
         "triple_acc": g.check_accuracies(gates, os.path.join(out, "triple_classification.tsv")),
     }
+    result["loss"] = {"trace": losses, "uniform": uniform_loss}
     result["counts"] = counts
     result["computed"] = computed_work(spec["flags"], usable, n_ent, n_rel, batch, epochs)
     result.update(attempted=gates.attempted, failed=gates.failed, messages=gates.messages)
@@ -155,9 +139,9 @@ def main(job_path):
 
 
 def computed_work(flags, usable, n_ent, n_rel, batch, epochs):
-    """Work implied by the shapes of one training pass over the train
-    corpus, counting a padded batch at its longest chain. Forward plus
-    backward is taken as three times the forward GEMM flops."""
+    """Work implied by the shapes of the training stage, every epoch over
+    the train corpus, counting a padded batch at its longest chain.
+    Forward plus backward is taken as three times the forward GEMM flops."""
     layers = int(flag_value(flags, "--layers"))
     hidden = int(flag_value(flags, "--hidden"))
     proj = int(flag_value(flags, "--proj"))

@@ -33,7 +33,7 @@ os.environ.update(environment.thread_env())  # before numpy loads BLAS
 import kg  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 7
 CHILD_TIMEOUT_S = 170
 
 
@@ -91,16 +91,16 @@ def end_to_end(passes, setups):
         "setup_s": (setups, "s"),
         "wall_s": ([p["wall_s"] for p in passes], "s"),
         "peak_rss_mb": ([p["peak_rss_mb"] for p in passes], "MB"),
-        "train_tokens_per_s": (ratio("train_tokens", "train_bilm"), "tokens/s"),
-        "walk_steps_per_s": (ratio("walk_steps", "generate_corpus"), "steps/s"),
+        "train_tokens_per_s": (ratio("train_tokens", "train.train_bilm"), "tokens/s"),
+        "walk_steps_per_s": (ratio("walk_steps", "walker.generate_corpus"), "steps/s"),
         # the export stage makes the first of the three aggregate_static calls
         "export_positions_per_s": (
-            [p["counts"]["export_positions"] / (p["phase_s"]["aggregate_static"][0] + sum(p["phase_s"]["export_embeddings"]))
+            [p["counts"]["export_positions"] / (p["phase_s"]["extract.aggregate_static"][0] + sum(p["phase_s"]["extract.export_embeddings"]))
              for p in passes],
             "positions/s",
         ),
-        "scorer_triples_per_s": (ratio("scorer_triples", "train_scorer"), "triples/s"),
-        "link_queries_per_s": (ratio("link_queries", "link_prediction_eval"), "queries/s"),
+        "scorer_triples_per_s": (ratio("scorer_triples", "scoring.train_scorer"), "triples/s"),
+        "link_queries_per_s": (ratio("link_queries", "ranking.link_prediction_eval"), "queries/s"),
         "train_loss": ([p["quality"]["train_loss"] for p in passes], "nats"),
         "link_mrr": ([p["quality"]["link_mrr"] for p in passes], "ratio"),
         "triple_acc": ([p["quality"]["triple_acc"] for p in passes], "ratio"),
@@ -189,6 +189,7 @@ def main(argv=None):
         "traced_passes": len(traced),
         "metrics": {},
         "counts": passes[0]["counts"],
+        "loss": passes[0]["loss"],
         "computed": passes[0]["computed"],
         "stage_s": {k: statistics.median(p["stage_s"][k] for p in passes) for k in passes[0]["stage_s"]},
         "environment": environment.describe(),

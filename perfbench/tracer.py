@@ -14,8 +14,19 @@ import sys
 import time
 from collections import defaultdict
 
-# (module, attribute or Class.method, span name)
-TARGETS = [
+# Targets are (module, attribute or Class.method, span name). PHASES are
+# the calls whose per-call times give the end-to-end throughputs: every
+# pass wraps them, and a traced pass wraps all of TARGETS.
+PHASES = [
+    ("kglm.walker", "generate_corpus", "walker.generate_corpus"),
+    ("kglm.train", "train_bilm", "train.train_bilm"),
+    ("kglm.extract", "aggregate_static", "extract.aggregate_static"),
+    ("kglm.extract", "export_embeddings", "extract.export_embeddings"),
+    ("kglm.scoring", "train_scorer", "scoring.train_scorer"),
+    ("kglm.ranking", "link_prediction_eval", "ranking.link_prediction_eval"),
+]
+
+TARGETS = PHASES + [
     ("kglm.cli", "cmd_ingest", "cli.ingest"),
     ("kglm.cli", "cmd_walk", "cli.walk"),
     ("kglm.cli", "cmd_train", "cli.train"),
@@ -27,10 +38,8 @@ TARGETS = [
     ("kglm.kernels", "walk_steps", "kernels.walk_steps"),
     ("kglm.kernels", "lstm_gates_forward", "kernels.gates_forward"),
     ("kglm.kernels", "lstm_gates_backward", "kernels.gates_backward"),
-    ("kglm.walker", "generate_corpus", "walker.generate_corpus"),
     ("kglm.walker", "write_corpus", "walker.write_corpus"),
     ("kglm.walker", "read_corpus", "walker.read_corpus"),
-    ("kglm.train", "train_bilm", "train.train_bilm"),
     ("kglm.bilm", "pack_batch", "bilm.pack_batch"),
     ("kglm.bilm", "bilm_forward", "bilm.forward"),
     ("kglm.bilm", "bilm_backward", "bilm.backward"),
@@ -40,10 +49,7 @@ TARGETS = [
     ("kglm.optim", "Adam.step", "optim.adam_step"),
     ("kglm.model", "save_checkpoint", "model.save_checkpoint"),
     ("kglm.model", "load_checkpoint", "model.load_checkpoint"),
-    ("kglm.extract", "aggregate_static", "extract.aggregate_static"),
     ("kglm.extract", "aggregate_layered", "extract.aggregate_layered"),
-    ("kglm.extract", "export_embeddings", "extract.export_embeddings"),
-    ("kglm.scoring", "train_scorer", "scoring.train_scorer"),
     ("kglm.scoring", "sample_negatives", "scoring.sample_negatives"),
     ("kglm.scoring", "Scorer.score_all_heads", "scoring.score_all"),
     ("kglm.scoring", "Scorer.score_all_tails", "scoring.score_all"),
@@ -95,6 +101,10 @@ class Tracer:
                         for dkey, dvalue in list(value.items()):
                             if dvalue is original:
                                 value[dkey] = wrapper
+
+    def durations(self, name):
+        """Per-call seconds of the spans called ``name``, in call order."""
+        return [end - start for n, start, end, _ in self.spans if n == name]
 
     def summary(self):
         """Per span name: total seconds, self seconds, call count; plus

@@ -18,10 +18,10 @@ WORKLOADS = {
         "held_out": 1000,
         # the train stage sees a fixed seeded subset of the walk corpus of
         # this many batches, and the later stages reuse that subset
-        "train_batches": 8,
+        "train_batches": 4,
         "restore_corpus": False,
         "flags": REFERENCE_LM
-        + ["--batch", "64", "--epochs", "1", "--lr", "0.001", "--walks-per-node", "3", "--walk-length", "11",
+        + ["--batch", "64", "--epochs", "4", "--lr", "0.01", "--walks-per-node", "3", "--walk-length", "11",
            "--init", "random", "--scorer-kind", "translational", "--scorer-dim", "32", "--scorer-epochs", "2",
            "--scorer-lr", "0.05"],
     },
@@ -32,19 +32,24 @@ WORKLOADS = {
         "train_batches": None,
         "restore_corpus": False,
         "flags": DESK_LM
-        + ["--batch", "256", "--epochs", "1", "--lr", "0.02", "--walks-per-node", "1", "--p", "0.5", "--q", "2",
+        + ["--batch", "128", "--epochs", "2", "--lr", "0.05", "--walks-per-node", "1", "--p", "0.5", "--q", "2",
            "--scorer-kind", "bilinear", "--scorer-epochs", "3", "--scorer-lr", "0.05"],
     },
     "graph-hubs": {
         "why": "Zipf hubs of about 1.4k edges: walk steps at hubs, graph indexing, dense Adam over 6k-row tables, all-candidate translational ranking",
         "graph": {"n_entities": 6000, "n_triples": 24000, "n_relations": 40, "n_clusters": 5, "exponent": 1.3},
         "held_out": 600,
-        # the LM trains on a small subset (near-free, like --epochs 0) while
-        # export and evaluation pool over the whole walk corpus
+        # the LM trains on one batch, cheap next to the other stages but
+        # enough to pass the loss gate, while export and evaluation pool
+        # over the whole walk corpus. At batch 384 each (M, |E|) head
+        # matrix is above the 32 MiB cap of glibc's dynamic mmap
+        # threshold, so it is always mmapped and given back when freed; at
+        # batch 256 (29 MiB) heap fragmentation moved peak RSS between 292
+        # and 311 MB from seed to seed.
         "train_batches": 1,
         "restore_corpus": True,
         "flags": DESK_LM
-        + ["--batch", "256", "--epochs", "1", "--lr", "0.02", "--walks-per-node", "1", "--walk-length", "11",
+        + ["--batch", "384", "--epochs", "6", "--lr", "0.03", "--walks-per-node", "1", "--walk-length", "11",
            "--p", "0.5", "--q", "2",
            "--scorer-kind", "translational", "--scorer-dim", "32", "--scorer-epochs", "2", "--scorer-lr", "0.05"],
     },
