@@ -110,9 +110,37 @@ class ForwardResult:
 
 
 def log_softmax(logits):
+    """Row-wise log-softmax; the reference :func:`softmax_nll` is
+    tested against."""
     m = logits.max(axis=1, keepdims=True)
     z = logits - m
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def softmax_nll(logits, targets):
+    """Row-wise softmax and the negative log likelihood of one target
+    per row, computed in place: ``logits`` (M, V) is overwritten with
+    the probabilities, which come back as ``probs``.
+
+    ``nll[m] = log(sum(exp(z[m]))) - z[m, targets[m]]`` with ``z`` the
+    max-shifted logits, the float formula of ``-log_softmax[m, target]``.
+    One exp pass and no (M, V) temporaries: at KG-sized vocabularies the
+    heads dominate training and each such matrix is tens of MiB.
+    """
+    rows = np.arange(logits.shape[0])
+    logits -= logits.max(axis=1, keepdims=True)
+    z_target = logits[rows, targets]
+    probs = np.exp(logits, out=logits)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    return probs, np.log(total[:, 0]) - z_target
+
+
+def _head(S, W, b, targets):
+    """One softmax head: the bias goes into the GEMM output in place."""
+    logits = S @ W
+    logits += b
+    return softmax_nll(logits, targets)
 
 
 def _direction_forward(x, mask, layers, config, reverse, train, rng):
@@ -155,16 +183,14 @@ def _direction_loss(top, batch, params, reverse):
     ev = batch.mask[1:].reshape(-1)
     M = (T - 1) * B
     S = states.reshape(M, P)
-    logp_e = log_softmax(S @ params.sm_ent_W + params.sm_ent_b)
-    logp_r = log_softmax(S @ params.sm_rel_W + params.sm_rel_b)
     te = tgt_e.reshape(-1)
     tr = tgt_r.reshape(-1)
-    rows = np.arange(M)
-    nll = -(logp_e[rows, te] + logp_r[rows, tr])
-    total = float((nll * ev).sum())
+    probs_e, nll_e = _head(S, params.sm_ent_W, params.sm_ent_b, te)
+    probs_r, nll_r = _head(S, params.sm_rel_W, params.sm_rel_b, tr)
+    total = float(((nll_e + nll_r) * ev).sum())
     return total, {
-        "probs_e": np.exp(logp_e),
-        "probs_r": np.exp(logp_r),
+        "probs_e": probs_e,
+        "probs_r": probs_r,
         "tgt_e": te,
         "tgt_r": tr,
         "ev": ev,
@@ -248,10 +274,17 @@ def _direction_backward(tag, dtop, dir_cache, layers, config, grads):
 
 def bilm_backward(result, params, config):
     """Gradients of the mean loss for every parameter block; requires a
-    train-mode forward result."""
+    train-mode forward result. It overwrites that result's cached head
+    probabilities, so each forward result takes one backward."""
     cache = result.cache
     if cache is None:
         raise RuntimeError("backward requires a train-mode forward pass with cache")
+    if cache.get("heads_consumed"):
+        raise RuntimeError(
+            "this forward result was already used by bilm_backward, which overwrites "
+            "its softmax probabilities; run bilm_forward again"
+        )
+    cache["heads_consumed"] = True
     batch = cache["batch"]
     T, B = batch.ents.shape
     n_events = cache["n_events"]
@@ -262,21 +295,25 @@ def bilm_backward(result, params, config):
         lc = cache["loss_f" if tag == "fwd" else "loss_b"]
         M = lc["probs_e"].shape[0]
         rows = np.arange(M)
-        scale = (lc["ev"] / n_events)[:, None].astype(lc["probs_e"].dtype)
-        dlog_e = lc["probs_e"].copy()
+        # Each row's logit gradient is (probs - onehot) * ev / n_events. The
+        # cached probabilities become (probs - onehot) in place, and the row
+        # weights go on the (M, P) side of each product, never over (M, |E|).
+        weight = (lc["ev"] / n_events).astype(lc["probs_e"].dtype)
+        dlog_e = lc["probs_e"]
         dlog_e[rows, lc["tgt_e"]] -= 1.0
-        dlog_e *= scale
-        dlog_r = lc["probs_r"].copy()
+        dlog_r = lc["probs_r"]
         dlog_r[rows, lc["tgt_r"]] -= 1.0
-        dlog_r *= scale
 
         S = lc["states_flat"]
-        grads["sm_ent_W"] += S.T @ dlog_e
-        grads["sm_ent_b"] += dlog_e.sum(axis=0)
-        grads["sm_rel_W"] += S.T @ dlog_r
-        grads["sm_rel_b"] += dlog_r.sum(axis=0)
+        Sw = S * weight[:, None]
+        grads["sm_ent_W"] += Sw.T @ dlog_e
+        grads["sm_ent_b"] += weight @ dlog_e
+        grads["sm_rel_W"] += Sw.T @ dlog_r
+        grads["sm_rel_b"] += weight @ dlog_r
 
-        dS = dlog_e @ params.sm_ent_W.T + dlog_r @ params.sm_rel_W.T
+        dS = dlog_e @ params.sm_ent_W.T
+        dS += dlog_r @ params.sm_rel_W.T
+        dS *= weight[:, None]
         P = dS.shape[1]
         dtop = np.zeros((T, B, P), dtype=dS.dtype)
         if reverse:

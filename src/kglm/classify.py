@@ -23,6 +23,8 @@ def best_threshold(pos_scores, neg_scores):
     pos = np.sort(np.asarray(pos_scores, dtype=np.float64))
     neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
     allv = np.concatenate([pos, neg])
+    if allv.size == 0:
+        raise ValueError("best_threshold needs at least one positive or negative score")
     candidates = np.unique(allv)
     candidates = np.append(candidates, candidates[-1] + 1.0)  # all-negative option
     n = len(allv)

@@ -2,8 +2,9 @@
 
 Candidates for a query are all entities minus every other known-true
 answer for the same key (the target itself always stays in). Ties rank
-the true entity worst among equals, so reported metrics are lower
-bounds; a constant scorer cannot look good.
+the true entity worst among equals, and a NaN score never ranks the true
+entity higher, so reported metrics are lower bounds; a constant or
+broken scorer cannot look good.
 """
 
 from collections import defaultdict
@@ -29,9 +30,9 @@ def filtered_rank(scorer, triple, side, filter_index, n_entities):
     if known:
         keep[list(known)] = False
     keep[true_id] = False  # compared against the other candidates only
-    s_true = scores[true_id]
-    others = scores[keep]
-    return int(1 + np.count_nonzero(others > s_true) + np.count_nonzero(others == s_true))
+    # every candidate not strictly below the true score ranks ahead of it:
+    # ties, and NaN on either side (a NaN true score gets the worst rank)
+    return int(1 + np.count_nonzero(~(scores[keep] < scores[true_id])))
 
 
 @dataclass

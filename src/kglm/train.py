@@ -2,6 +2,8 @@
 
 import logging
 
+import numpy as np
+
 from . import seeds
 from .bilm import bilm_backward, bilm_forward, pack_batch, tokenize_chain
 from .model import init_params, save_checkpoint
@@ -41,6 +43,7 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
     opt = Adam(params.flat(), lr=config.learning_rate)
     n = len(usable)
     bs = config.batch_size
+    n_batches = -(-n // bs)
     for epoch in range(1, config.epochs + 1):
         order = seeds.derived_rng(config.seed, seeds.SHUFFLE, epoch).permutation(n)
         total = 0.0
@@ -50,6 +53,11 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
             batch, _ = pack_batch([usable[i] for i in idx], dtype=config.dtype)
             rng = seeds.derived_rng(config.seed, seeds.DROPOUT, epoch, bi)
             result = bilm_forward(batch, params, config, mode="train", rng=rng)
+            if not np.isfinite(result.loss):
+                raise RuntimeError(
+                    f"non-finite training loss {result.loss} at epoch {epoch}, batch {bi + 1} of {n_batches}; "
+                    "training diverged (try a lower learning rate)"
+                )
             grads = bilm_backward(result, params, config)
             opt.step(grads)
             total += result.loss * result.n_events

@@ -7,8 +7,10 @@ from kglm.bilm import (
     detokenize_pairs,
     log_softmax,
     pack_batch,
+    softmax_nll,
     tokenize_chain,
 )
+from kglm.cli import GRADCHECK_TOLERANCE
 from kglm.gradcheck import run_gradcheck
 from kglm.model import ModelConfig, init_params
 from kglm.walker import Chain
@@ -115,6 +117,27 @@ class TestForward:
         probs = np.exp(log_softmax(logits))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_loss_matches_log_softmax_recomputation(self):
+        config = small_config(dropout=0.2)
+        params = init_params(config, 9, 5)
+        params.sm_ent_b[:] = np.random.default_rng(10).normal(size=9)
+        batch = random_batch(np.random.default_rng(11), 9, 5, n_seqs=7)
+        result = bilm_forward(batch, params, config, mode="train", rng=np.random.default_rng(12))
+        ev = batch.mask[1:].reshape(-1)
+        sums = []
+        for top, reverse in ((result.states.fwd[-1], False), (result.states.bwd[-1], True)):
+            states = top[1:] if reverse else top[:-1]
+            tgt = slice(None, -1) if reverse else slice(1, None)
+            S = states.reshape(-1, config.proj_dim)
+            rows = np.arange(len(S))
+            logp_e = log_softmax(S @ params.sm_ent_W + params.sm_ent_b)
+            logp_r = log_softmax(S @ params.sm_rel_W + params.sm_rel_b)
+            nll = -(logp_e[rows, batch.ents[tgt].reshape(-1)] + logp_r[rows, batch.rels[tgt].reshape(-1)])
+            sums.append((nll * ev).sum())
+        assert result.loss == pytest.approx((sums[0] + sums[1]) / (2 * ev.sum()), rel=1e-6)
+        assert result.loss_fwd == pytest.approx(sums[0] / ev.sum(), rel=1e-6)
+        assert result.loss_bwd == pytest.approx(sums[1] / ev.sum(), rel=1e-6)
+
     def test_eval_mode_has_no_cache(self):
         config = small_config()
         params = init_params(config, 4, 3)
@@ -130,6 +153,29 @@ class TestForward:
         batch = random_batch(np.random.default_rng(5), 4, 3)
         with pytest.raises(ValueError, match="rng"):
             bilm_forward(batch, params, config, mode="train")
+
+
+class TestSoftmaxNll:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 2e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("scale", [1.0, 8.0, 1e3])
+    def test_matches_log_softmax(self, dtype, rtol, scale):
+        rng = np.random.default_rng(13)
+        logits = (rng.normal(size=(40, 17)) * scale).astype(dtype)
+        targets = rng.integers(17, size=40)
+        logp = log_softmax(logits)
+        # no overflow and no NaN at any scale; tiny probabilities may underflow to 0
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            probs, nll = softmax_nll(logits.copy(), targets)
+        assert probs.dtype == dtype and nll.dtype == dtype
+        assert np.all(np.isfinite(probs)) and np.all(np.isfinite(nll))
+        np.testing.assert_allclose(probs, np.exp(logp), rtol=rtol, atol=rtol * 1e-3)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=rtol)
+        np.testing.assert_allclose(nll, -logp[np.arange(40), targets], rtol=rtol, atol=rtol)
+
+    def test_writes_probabilities_in_place(self):
+        logits = np.random.default_rng(14).normal(size=(6, 5))
+        probs, _ = softmax_nll(logits, np.zeros(6, dtype=np.int64))
+        assert probs is logits
 
 
 class TestSharing:
@@ -184,4 +230,15 @@ class TestGradients:
 
     def test_full_model_finite_differences(self):
         worst, per_block = run_gradcheck(seed=11, n_coords=44)
-        assert worst < 1e-4, per_block
+        assert worst < GRADCHECK_TOLERANCE, per_block
+
+    def test_second_backward_on_one_forward_rejected(self):
+        # backward turns the cached softmax probabilities into logit
+        # gradients in place; reusing them would give wrong gradients
+        config = small_config()
+        params = init_params(config, 5, 4)
+        batch = random_batch(np.random.default_rng(15), 5, 4)
+        result = bilm_forward(batch, params, config, mode="train")
+        bilm_backward(result, params, config)
+        with pytest.raises(RuntimeError, match="already used by bilm_backward"):
+            bilm_backward(result, params, config)

@@ -37,6 +37,10 @@ class TestBestThreshold:
         thr, acc = best_threshold([0.5, 0.5], [0.5, 0.5])
         assert acc == 0.5
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            best_threshold([], [])
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

@@ -122,6 +122,36 @@ class TestFilteredRank:
         n_cands = g.n_entities - len(known) + 1
         assert filtered_rank(scorer, (h, r, t), "head", fidx, g.n_entities) == n_cands
 
+    def test_nan_scores_never_improve_the_rank(self):
+        g, fidx, scorer = self._setup()
+        h, r, t = (int(v) for v in g.triples[0])
+        n_cands = g.n_entities - len(fidx.heads[(r, t)]) + 1
+
+        class FixedHeads:
+            def __init__(self, scores):
+                self.scores = scores
+
+            def score_all_heads(self, r, t):
+                return self.scores
+
+        def rank(scores):
+            return filtered_rank(FixedHeads(scores), (h, r, t), "head", fidx, g.n_entities)
+
+        # an all-NaN scorer, or a NaN true score alone: the true entity ranks last
+        assert rank(np.full(g.n_entities, np.nan)) == n_cands
+        scores = scorer.score_all_heads(r, t)
+        assert rank(np.where(np.arange(g.n_entities) == h, np.nan, scores)) == n_cands
+        # a NaN candidate counts as ranked ahead, whether it scored below or above
+        base = rank(scores)
+        candidates = [e for e in range(g.n_entities) if e != h and e not in fidx.heads[(r, t)]]
+        below = [e for e in candidates if scores[e] < scores[h]]
+        above = [e for e in candidates if scores[e] >= scores[h]]
+        assert below and above, "the seeded scorer should rank candidates on both sides"
+        for e, expected in ((below[0], base + 1), (above[0], base)):
+            moved = scores.copy()
+            moved[e] = np.nan
+            assert rank(moved) == expected
+
     def test_matches_full_sort_oracle(self):
         for seed in range(3):
             g, fidx, scorer = self._setup(seed=seed, n_entities=30)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,14 @@ class TestTrain:
         with caplog.at_level("WARNING"):
             train_bilm(mixed, graph, small_config(epochs=1))
         assert any("skipped 1" in rec.message for rec in caplog.records)
+
+    def test_non_finite_loss_fails_naming_epoch_and_batch(self):
+        # the first step of a huge learning rate overflows the second
+        # batch's logits; the loss check must fire before backward runs
+        graph, chains = small_corpus()
+        config = replace(small_config(epochs=1), batch_size=64, learning_rate=1e38)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite training loss .* epoch 1, batch 2 of 4"):
+            train_bilm(chains[:200], graph, config)
 
     def test_checkpoint_written(self, tmp_path):
         graph, chains = small_corpus()
