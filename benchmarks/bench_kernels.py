@@ -1,8 +1,8 @@
-"""Benchmark the jitted kernels against the pure-numpy fallbacks.
+"""Benchmark the jitted walk sampler against the pure-numpy fallback.
 
-Times the two hot paths on representative shapes: second-order walk
-sampling over a mid-size graph, and LSTM gate forward/backward at full
-batch width. Run as ``python benchmarks/bench_kernels.py``.
+Times second-order walk sampling over a mid-size graph, with the numba
+variant where the optional ``jit`` extra is installed. Run as
+``python benchmarks/bench_kernels.py``.
 """
 
 import time
@@ -37,19 +37,6 @@ def bench_walks(walk_fn, graph, n_walks=2000, n_steps=10, seed=0):
     return time.perf_counter() - t0, total
 
 
-def bench_gates(fwd_fn, bwd_fn, batch=1024, hidden=512, reps=20, dtype=np.float32):
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(batch, 4 * hidden)).astype(dtype)
-    c_prev = rng.normal(size=(batch, hidden)).astype(dtype)
-    dhc = rng.normal(size=(batch, hidden)).astype(dtype)
-    dc = rng.normal(size=(batch, hidden)).astype(dtype)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        act, c, tanh_c, hc = fwd_fn(a, c_prev)
-        bwd_fn(dhc, dc, act, c_prev, tanh_c)
-    return (time.perf_counter() - t0) / reps
-
-
 def main():
     print(f"numba available and enabled: {kernels.NUMBA_ENABLED}")
     triples = make_clustered_kg(n_entities=2000, n_relations=40, n_triples=8000, n_clusters=20, seed=0)
@@ -63,13 +50,6 @@ def main():
         bench_walks(kernels._walk_steps_jit, graph, n_walks=10)  # compile
         t_jit, steps = bench_walks(kernels._walk_steps_jit, graph)
         rows.append(("walk sampling (numba)", t_jit, f"speedup {t_py / t_jit:.1f}x"))
-
-    t_py = bench_gates(kernels._lstm_gates_forward_py, kernels._lstm_gates_backward_py)
-    rows.append(("lstm gates fwd+bwd (numpy)", t_py, "batch 1024 x hidden 512"))
-    if kernels.NUMBA_ENABLED:
-        bench_gates(kernels._lstm_gates_forward_jit, kernels._lstm_gates_backward_jit, reps=2)
-        t_jit = bench_gates(kernels._lstm_gates_forward_jit, kernels._lstm_gates_backward_jit)
-        rows.append(("lstm gates fwd+bwd (numba)", t_jit, f"speedup {t_py / t_jit:.1f}x"))
 
     width = max(len(r[0]) for r in rows)
     for name, t, note in rows:

@@ -43,25 +43,22 @@ class Batch:
 
 
 def pack_batch(token_pairs, dtype=np.float32):
-    """Pad tokenized sequences into a :class:`Batch`, dropping sequences
-    shorter than 2 tokens. Returns (batch or None, n_skipped)."""
-    usable = [(e, r) for e, r in token_pairs if len(e) >= 2]
-    skipped = len(token_pairs) - len(usable)
-    if not usable:
-        return None, skipped
-    B = len(usable)
-    T = max(len(e) for e, _ in usable)
+    """Pad tokenized sequences into a :class:`Batch`, the one padding
+    path of training and extraction. Sequences of any length are kept;
+    a 1-token sequence yields no prediction event."""
+    B = len(token_pairs)
+    T = max(len(e) for e, _ in token_pairs)
     ents = np.zeros((T, B), dtype=np.int64)
     rels = np.zeros((T, B), dtype=np.int64)
     lengths = np.zeros(B, dtype=np.int64)
     mask = np.zeros((T, B), dtype=dtype)
-    for b, (e, r) in enumerate(usable):
+    for b, (e, r) in enumerate(token_pairs):
         n = len(e)
         ents[:n, b] = e
         rels[:n, b] = r
         lengths[b] = n
         mask[:n, b] = 1.0
-    return Batch(ents=ents, rels=rels, lengths=lengths, mask=mask), skipped
+    return Batch(ents=ents, rels=rels, lengths=lengths, mask=mask)
 
 
 @dataclass
@@ -198,6 +195,20 @@ def _direction_loss(top, batch, params, reverse):
     }
 
 
+def bilm_states(batch, params, config, train=False, rng=None):
+    """Gather the pair embeddings and run both direction stacks; no
+    softmax heads. Returns (states, caches), where ``caches`` holds what
+    :func:`bilm_backward` needs from the stacks. Without ``train`` no
+    dropout is applied."""
+    x = np.concatenate(
+        [params.ent_emb[batch.ents], params.rel_emb[batch.rels]], axis=2
+    )
+    outs_f, cache_f = _direction_forward(x, batch.mask, params.fwd, config, False, train, rng)
+    outs_b, cache_b = _direction_forward(x, batch.mask, params.bwd, config, True, train, rng)
+    states = BatchStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b), lengths=batch.lengths)
+    return states, {"fwd": cache_f, "bwd": cache_b}
+
+
 def bilm_forward(batch, params, config, mode="train", rng=None):
     """Full forward pass. In train mode the returned cache supports
     :func:`bilm_backward`; eval mode applies no dropout and keeps no
@@ -207,33 +218,20 @@ def bilm_forward(batch, params, config, mode="train", rng=None):
     train = mode == "train"
     if train and config.dropout > 0.0 and rng is None:
         raise ValueError("train mode with dropout needs an rng")
-    x = np.concatenate(
-        [params.ent_emb[batch.ents], params.rel_emb[batch.rels]], axis=2
-    )
-    outs_f, cache_f = _direction_forward(x, batch.mask, params.fwd, config, False, train, rng)
-    outs_b, cache_b = _direction_forward(x, batch.mask, params.bwd, config, True, train, rng)
+    states, stack_caches = bilm_states(batch, params, config, train, rng)
 
-    sum_f, loss_cache_f = _direction_loss(outs_f[-1], batch, params, reverse=False)
-    sum_b, loss_cache_b = _direction_loss(outs_b[-1], batch, params, reverse=True)
+    sum_f, loss_cache_f = _direction_loss(states.fwd[-1], batch, params, reverse=False)
+    sum_b, loss_cache_b = _direction_loss(states.bwd[-1], batch, params, reverse=True)
     n_dir = float(batch.mask[1:].sum())
     n_events = int(2 * n_dir)
     loss = (sum_f + sum_b) / n_events
 
-    states = BatchStates(
-        x=x,
-        fwd=np.stack(outs_f),
-        bwd=np.stack(outs_b),
-        lengths=batch.lengths,
-    )
     cache = None
     if train:
         cache = {
             "batch": batch,
-            "x": x,
-            "fwd": cache_f,
-            "bwd": cache_b,
-            "outs_f": outs_f,
-            "outs_b": outs_b,
+            "x": states.x,
+            **stack_caches,
             "loss_f": loss_cache_f,
             "loss_b": loss_cache_b,
             "n_events": n_events,

@@ -19,6 +19,15 @@ class ConfigError(ValueError):
     pass
 
 
+# Fields that take one of a fixed set of words, checked for flags and
+# config-file values alike.
+_CHOICES = {
+    "precision": ("f32", "f64"),
+    "init": ("dolores", "random"),
+    "scorer_kind": ("translational", "bilinear"),
+}
+
+
 @dataclass
 class RunConfig:
     # paths
@@ -56,6 +65,13 @@ class RunConfig:
     # global
     seed: int = seeds.DEFAULT_SEED
     threads: int = 1
+
+    def __post_init__(self):
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(
+                    f"bad value for {key}: {getattr(self, key)!r} (expected one of: {', '.join(allowed)})"
+                )
 
     def require(self, *names):
         for name in names:
@@ -164,11 +180,11 @@ def add_flags(parser):
     g.add_argument("--batch", type=int, default=None)
     g.add_argument("--epochs", type=int, default=None)
     g.add_argument("--lr", type=float, default=None)
-    g.add_argument("--precision", choices=("f32", "f64"), default=None)
+    g.add_argument("--precision", choices=_CHOICES["precision"], default=None)
     g.add_argument("--checkpoint-interval", type=int, default=None)
-    g.add_argument("--init", choices=("dolores", "random"), default=None,
+    g.add_argument("--init", choices=_CHOICES["init"], default=None,
                    help="scorer embedding init: learned contextual table or random")
-    g.add_argument("--scorer-kind", choices=("translational", "bilinear"), default=None)
+    g.add_argument("--scorer-kind", choices=_CHOICES["scorer_kind"], default=None)
     g.add_argument("--scorer-dim", type=int, default=None)
     g.add_argument("--scorer-epochs", type=int, default=None)
     g.add_argument("--scorer-lr", type=float, default=None)

@@ -13,26 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilm import Batch, BatchStates, _direction_forward, tokenize_chain
-
-
-def _states_batch(batch, params, config):
-    """Eval-mode stack states for a padded batch (no loss, no dropout)."""
-    x = np.concatenate([params.ent_emb[batch.ents], params.rel_emb[batch.rels]], axis=2)
-    outs_f, _ = _direction_forward(x, batch.mask, params.fwd, config, False, False, None)
-    outs_b, _ = _direction_forward(x, batch.mask, params.bwd, config, True, False, None)
-    return BatchStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b), lengths=batch.lengths)
-
-
-def _single_batch(tokenized, dtype):
-    ents, rels = tokenized
-    T = len(ents)
-    return Batch(
-        ents=ents.reshape(T, 1),
-        rels=rels.reshape(T, 1),
-        lengths=np.array([T], dtype=np.int64),
-        mask=np.ones((T, 1), dtype=dtype),
-    )
+from .bilm import bilm_states, pack_batch, tokenize_chain
 
 
 def contextual_reps(chain, params, config):
@@ -45,8 +26,8 @@ def contextual_reps(chain, params, config):
         np.any(chain.relations >= params.n_relations) or np.any(chain.relations < 0)
     ):
         raise ValueError("chain contains a relation outside the model vocabulary")
-    tokenized = tokenize_chain(chain, params.n_relations - 1)
-    states = _states_batch(_single_batch(tokenized, config.dtype), params, config)
+    batch = pack_batch([tokenize_chain(chain, params.n_relations - 1)], dtype=config.dtype)
+    states, _ = bilm_states(batch, params, config)
     return states.per_sequence(0)
 
 
@@ -125,32 +106,22 @@ def aggregate_layered(chains, params, config, chunk_size=256):
 
     tokenized = [tokenize_chain(c, eos) for c in chains]
     for start in range(0, len(tokenized), chunk_size):
-        group = tokenized[start : start + chunk_size]
-        T = max(len(e) for e, _ in group)
-        B = len(group)
-        ents = np.zeros((T, B), dtype=np.int64)
-        rels = np.zeros((T, B), dtype=np.int64)
-        lengths = np.zeros(B, dtype=np.int64)
-        mask = np.zeros((T, B), dtype=config.dtype)
-        for b, (e, r) in enumerate(group):
-            ents[: len(e), b] = e
-            rels[: len(e), b] = r
-            lengths[b] = len(e)
-            mask[: len(e), b] = 1.0
-        states = _states_batch(Batch(ents, rels, lengths, mask), params, config)
-        h = np.concatenate([states.fwd, states.bwd], axis=3)  # (L,T,B,2P)
-        for b in range(B):
-            n = int(lengths[b])
-            e_ids = ents[:n, b]
-            r_ids = rels[:n, b]
-            xv = states.x[:n, b].astype(np.float64)
-            hv = h[:, :n, b].transpose(1, 0, 2).astype(np.float64)  # (n, L, 2P)
-            np.add.at(ent_x, e_ids, xv)
-            np.add.at(ent_layers, e_ids, hv)
-            np.add.at(ent_counts, e_ids, 1)
-            np.add.at(rel_x, r_ids, xv)
-            np.add.at(rel_layers, r_ids, hv)
-            np.add.at(rel_counts, r_ids, 1)
+        batch = pack_batch(tokenized[start : start + chunk_size], dtype=config.dtype)
+        states, _ = bilm_states(batch, params, config)
+        # Real positions in sequence-major order, so every item's sums
+        # accumulate in the same order as one scatter per sequence would.
+        real = batch.mask.T.astype(bool)  # (B, T)
+        e_ids = batch.ents.T[real]
+        r_ids = batch.rels.T[real]
+        xv = states.x.transpose(1, 0, 2)[real].astype(np.float64)  # (N, D)
+        h = np.concatenate([states.fwd, states.bwd], axis=3)  # (L, T, B, 2P)
+        hv = h.transpose(2, 1, 0, 3)[real].astype(np.float64)  # (N, L, 2P)
+        np.add.at(ent_x, e_ids, xv)
+        np.add.at(ent_layers, e_ids, hv)
+        np.add.at(ent_counts, e_ids, 1)
+        np.add.at(rel_x, r_ids, xv)
+        np.add.at(rel_layers, r_ids, hv)
+        np.add.at(rel_counts, r_ids, 1)
 
     d_e = params.ent_emb.shape[1]
     ent_div = np.maximum(ent_counts, 1)[:, None]

@@ -20,8 +20,7 @@ def _random_batch(rng, n_entities, n_relations, n_seqs=6, max_len=7):
         ents = rng.integers(n_entities, size=n).astype(np.int64)
         rels = rng.integers(n_relations, size=n).astype(np.int64)
         pairs.append((ents, rels))
-    batch, _ = pack_batch(pairs, dtype=np.float64)
-    return batch
+    return pack_batch(pairs, dtype=np.float64)
 
 
 def run_gradcheck(

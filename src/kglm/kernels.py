@@ -1,19 +1,16 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy variants.
+"""Hot numeric kernels: the second-order walk sampler and the LSTM gate
+math.
 
-Two kernel families live here: the second-order walk sampler (a scalar
-loop over adjacency, the hot path of corpus generation) and the LSTM
-gate elementwise math (the non-BLAS part of a cell step). Matrix
-products stay in numpy/BLAS either way.
+The walk sampler (a scalar loop over adjacency, the hot path of corpus
+generation) has a numba-jitted and a pure-numpy variant, chosen once at
+import time: setting ``KGLM_DISABLE_NUMBA=1`` (or numba being
+unavailable; it is the optional ``jit`` extra) selects the numpy
+fallback. Both variants implement the same arithmetic and produce
+bitwise-identical walks.
 
-The walk sampler's active variant is chosen once at import time:
-setting ``KGLM_DISABLE_NUMBA=1`` (or numba being unavailable) selects
-the pure-numpy fallback. Both variants implement the same arithmetic
-and produce bitwise-identical walks.
-
-The gate kernels are pinned to the numpy implementation: numpy's SIMD
-exp/tanh beat the jitted scalar loops by ~4-9x on this workload (see
-benchmarks/bench_kernels.py, which times both). The jitted variants
-stay importable for that comparison.
+The gate math (the non-BLAS part of an LSTM step) has one numpy
+implementation, the only cell math the LSTM layers use. Matrix products
+stay in numpy/BLAS.
 """
 
 import os
@@ -94,7 +91,7 @@ def _walk_steps_py(adj_off, adj_rel, adj_nbr, nbr_off, nbr_sorted, start, n_step
     return ents, rels, k
 
 
-def _lstm_gates_forward_py(a, c_prev):
+def lstm_gates_forward(a, c_prev):
     """Activate preactivations ``a`` (B, 4H) in gate order [i|f|g|o] and
     advance the cell state. Returns (act, c, tanh_c, hc)."""
     h = c_prev.shape[1]
@@ -108,7 +105,7 @@ def _lstm_gates_forward_py(a, c_prev):
     return act, c, tanh_c, hc
 
 
-def _lstm_gates_backward_py(dhc, dc_in, act, c_prev, tanh_c):
+def lstm_gates_backward(dhc, dc_in, act, c_prev, tanh_c):
     """Elementwise backward of the gate math. Returns (da, dc_prev)."""
     h = c_prev.shape[1]
     i = act[:, :h]
@@ -201,50 +198,6 @@ if not _env_disabled():
                 cur = ents[k]
             return ents, rels, k
 
-        @njit(cache=True, nogil=True)
-        def _lstm_gates_forward_jit(a, c_prev):
-            b, h = c_prev.shape
-            act = np.empty_like(a)
-            c = np.empty_like(c_prev)
-            tanh_c = np.empty_like(c_prev)
-            hc = np.empty_like(c_prev)
-            for r in range(b):
-                for j in range(h):
-                    i_g = 1.0 / (1.0 + np.exp(-a[r, j]))
-                    f_g = 1.0 / (1.0 + np.exp(-a[r, h + j]))
-                    g_g = np.tanh(a[r, 2 * h + j])
-                    o_g = 1.0 / (1.0 + np.exp(-a[r, 3 * h + j]))
-                    cv = f_g * c_prev[r, j] + i_g * g_g
-                    tc = np.tanh(cv)
-                    act[r, j] = i_g
-                    act[r, h + j] = f_g
-                    act[r, 2 * h + j] = g_g
-                    act[r, 3 * h + j] = o_g
-                    c[r, j] = cv
-                    tanh_c[r, j] = tc
-                    hc[r, j] = o_g * tc
-            return act, c, tanh_c, hc
-
-        @njit(cache=True, nogil=True)
-        def _lstm_gates_backward_jit(dhc, dc_in, act, c_prev, tanh_c):
-            b, h = c_prev.shape
-            da = np.empty_like(act)
-            dc_prev = np.empty_like(c_prev)
-            for r in range(b):
-                for j in range(h):
-                    i_g = act[r, j]
-                    f_g = act[r, h + j]
-                    g_g = act[r, 2 * h + j]
-                    o_g = act[r, 3 * h + j]
-                    tc = tanh_c[r, j]
-                    dc = dc_in[r, j] + dhc[r, j] * o_g * (1.0 - tc * tc)
-                    da[r, j] = dc * g_g * i_g * (1.0 - i_g)
-                    da[r, h + j] = dc * c_prev[r, j] * f_g * (1.0 - f_g)
-                    da[r, 2 * h + j] = dc * i_g * (1.0 - g_g * g_g)
-                    da[r, 3 * h + j] = dhc[r, j] * tc * o_g * (1.0 - o_g)
-                    dc_prev[r, j] = dc * f_g
-            return da, dc_prev
-
 
 if NUMBA_ENABLED:
     walk_steps = _walk_steps_jit
@@ -252,6 +205,3 @@ if NUMBA_ENABLED:
 else:
     walk_steps = _walk_steps_py
     step_choice = _step_choice_py
-
-lstm_gates_forward = _lstm_gates_forward_py
-lstm_gates_backward = _lstm_gates_backward_py

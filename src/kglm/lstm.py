@@ -1,7 +1,7 @@
-"""Projected LSTM cell and time-unrolled layer with manual
-backpropagation through time.
+"""Time-unrolled projected LSTM layer with manual backpropagation
+through time.
 
-The cell computes gates [i|f|g|o] from input and recurrent state,
+Each step computes gates [i|f|g|o] from input and recurrent state,
 advances the cell state, then linearly projects the hidden vector and
 clips it elementwise; the clipped projection is both the layer output
 and the recurrent state. Saturated clip components pass zero gradient.
@@ -13,33 +13,6 @@ import numpy as np
 from . import kernels
 
 
-def lstm_cell_forward(x, h_prev, c_prev, layer, clip_lo, clip_hi):
-    """One batched step. Returns (h, c, cache) with h already projected
-    and clipped."""
-    if x.shape[1] != layer.Wx.shape[0]:
-        raise ValueError(f"input dim {x.shape[1]} != weight fan-in {layer.Wx.shape[0]}")
-    a = x @ layer.Wx + h_prev @ layer.Wh + layer.b
-    act, c, tanh_c, hc = kernels.lstm_gates_forward(a, c_prev)
-    p = hc @ layer.Wp
-    h = np.clip(p, clip_lo, clip_hi)
-    return h, c, (x, h_prev, c_prev, act, tanh_c, hc, p)
-
-
-def lstm_cell_backward(dh, dc, cache, layer, clip_lo, clip_hi):
-    """Backward of one step. Returns (dx, dh_prev, dc_prev, grads)."""
-    x, h_prev, c_prev, act, tanh_c, hc, p = cache
-    dp = dh * ((p > clip_lo) & (p < clip_hi))
-    dhc = dp @ layer.Wp.T
-    da, dc_prev = kernels.lstm_gates_backward(dhc, dc, act, c_prev, tanh_c)
-    grads = {
-        "Wx": x.T @ da,
-        "Wh": h_prev.T @ da,
-        "b": da.sum(axis=0),
-        "Wp": hc.T @ dp,
-    }
-    return da @ layer.Wx.T, da @ layer.Wh.T, dc_prev, grads
-
-
 def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False):
     """Run a layer over (T, B, Din) inputs with (T, B) mask.
 
@@ -47,7 +20,9 @@ def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False):
     positions repeat the last real state (they are excluded from the
     loss by the same mask).
     """
-    T, B, _ = inputs.shape
+    T, B, Din = inputs.shape
+    if Din != layer.Wx.shape[0]:
+        raise ValueError(f"input dim {Din} != weight fan-in {layer.Wx.shape[0]}")
     H = layer.Wp.shape[0]
     P = layer.Wp.shape[1]
     dt = inputs.dtype

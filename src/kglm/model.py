@@ -9,6 +9,7 @@ that identical parameters always serialize to identical bytes.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -180,13 +181,19 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
         n = int(fh.readline().decode("ascii"))
         header = json.loads(fh.read(n).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            dt = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dt.itemsize)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+        payload = fh.read()
+    manifest = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"])) for e in header["arrays"]]
+    expected = sum(math.prod(shape) * dt.itemsize for _, dt, shape in manifest)
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: the header lists {expected} bytes of arrays, found {len(payload)} "
+            "(truncated file or trailing bytes)"
+        )
+    arrays, offset = {}, 0
+    for name, dt, shape in manifest:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape).copy()
+        offset += count * dt.itemsize
     config = ModelConfig(**header["config"])
     L = config.num_layers
     fwd = [

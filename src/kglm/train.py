@@ -50,7 +50,7 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
         events = 0
         for bi, start in enumerate(range(0, n, bs)):
             idx = order[start : start + bs]
-            batch, _ = pack_batch([usable[i] for i in idx], dtype=config.dtype)
+            batch = pack_batch([usable[i] for i in idx], dtype=config.dtype)
             rng = seeds.derived_rng(config.seed, seeds.DROPOUT, epoch, bi)
             result = bilm_forward(batch, params, config, mode="train", rng=rng)
             if not np.isfinite(result.loss):

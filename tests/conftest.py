@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kglm.datasets import make_clustered_kg, split_triples
-from kglm.extract import aggregate_layered, aggregate_static
+from kglm.extract import aggregate_static
 from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig
 from kglm.train import train_bilm
@@ -97,7 +97,6 @@ def toy():
     params, trace = train_bilm(chains, graph, config)
     train_elapsed = time.monotonic() - t1
     table = aggregate_static(chains, params, config)
-    layered = aggregate_layered(chains, params, config)
     return {
         "graph": graph,
         "train": train_ids,
@@ -110,7 +109,6 @@ def toy():
         "params": params,
         "trace": trace,
         "table": table,
-        "layered": layered,
         "corpus_elapsed": corpus_elapsed,
         "train_elapsed": train_elapsed,
     }

@@ -38,8 +38,7 @@ def random_batch(rng, n_ent, n_rel, n_seqs=5, max_len=6, dtype=np.float64):
     for _ in range(n_seqs):
         n = int(rng.integers(2, max_len + 1))
         pairs.append((rng.integers(n_ent, size=n), rng.integers(n_rel, size=n)))
-    batch, _ = pack_batch(pairs, dtype=dtype)
-    return batch
+    return pack_batch(pairs, dtype=dtype)
 
 
 class TestTokenize:
@@ -62,13 +61,6 @@ class TestTokenize:
         back = detokenize_pairs(ents, rels, eos_rel_id=5)
         assert np.array_equal(back.entities, chain.entities)
         assert np.array_equal(back.relations, chain.relations)
-
-    def test_single_entity_chain_untrainable(self):
-        chain = Chain(entities=np.array([4]), relations=np.array([], dtype=np.int64))
-        ents, rels = tokenize_chain(chain, eos_rel_id=2)
-        assert len(ents) == 1 and rels[0] == 2
-        batch, skipped = pack_batch([(ents, rels)])
-        assert batch is None and skipped == 1
 
 
 class TestForward:

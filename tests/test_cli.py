@@ -67,6 +67,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epochs"):
             parse_config(str(cfg), [])
 
+    @pytest.mark.parametrize("key,value", [("init", "Dolores"), ("scorer_kind", "TransE"), ("precision", "f16")])
+    def test_bad_choice_in_file_rejected(self, tmp_path, key, value):
+        # argparse checks these words for flags; a config file must not
+        # slip past it (init = Dolores once trained the random control)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key}: '{value}' \\(expected one of"):
+            parse_config(str(cfg), [])
+
     def test_residual_bool_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("residual = false\n", encoding="utf-8")

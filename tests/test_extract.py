@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kglm.bilm import bilm_states, pack_batch, tokenize_chain
 from kglm.extract import (
     aggregate_layered,
     aggregate_static,
@@ -133,7 +134,8 @@ class TestAggregate:
 
     def test_matches_hand_rolled_accumulation(self):
         config, params = make_model(n_ent=6, n_rel=4)
-        chains = [chain([0, 1, 2], [0, 1]), chain([2, 3], [2]), chain([1, 4, 0], [1, 0])]
+        # the 1-token chain has no prediction event but is still pooled
+        chains = [chain([0, 1, 2], [0, 1]), chain([2, 3], [2]), chain([5], []), chain([1, 4, 0], [1, 0])]
         lam = np.array([0.25, 0.75])
         table = aggregate_static(chains, params, config, lam)
 
@@ -153,12 +155,41 @@ class TestAggregate:
                 counts_e[e] += 1
                 sums_r[r] += vecs[t]
                 counts_r[r] += 1
+        assert counts_e[5] == 1 and table.entity_counts[5] == 1
         for e in range(6):
             if counts_e[e]:
                 np.testing.assert_allclose(table.entity_vecs[e], sums_e[e] / counts_e[e], atol=1e-10)
         for r in range(4):
             if counts_r[r]:
                 np.testing.assert_allclose(table.relation_vecs[r], sums_r[r] / counts_r[r], atol=1e-10)
+
+    def test_chunk_scatter_equals_per_sequence_loop(self):
+        # reference: one np.add.at per sequence over the same batched
+        # states; the chunk scatter visits positions sequence-major, so
+        # every float sum must come out identical (f64 states, so the
+        # order of the additions shows in the last bits)
+        config, params = make_model(n_ent=6, n_rel=4)
+        rng = np.random.default_rng(0)
+        chains = [chain(rng.integers(6, size=n), rng.integers(3, size=n - 1)) for n in (3, 1, 5, 2, 4, 3, 5)]
+        layered = aggregate_layered(chains, params, config, chunk_size=3)
+        sums = {"ent": [np.zeros_like(layered.ent_x), np.zeros_like(layered.ent_layers), np.zeros(6, np.int64)],
+                "rel": [np.zeros_like(layered.rel_x), np.zeros_like(layered.rel_layers), np.zeros(4, np.int64)]}
+        for start in range(0, len(chains), 3):
+            batch = pack_batch([tokenize_chain(c, 3) for c in chains[start : start + 3]], dtype=config.dtype)
+            states, _ = bilm_states(batch, params, config)
+            for b, n in enumerate(batch.lengths):
+                seq = states.per_sequence(b)
+                hv = seq.layer_concat().transpose(1, 0, 2).astype(np.float64)
+                for key, ids in (("ent", batch.ents[:n, b]), ("rel", batch.rels[:n, b])):
+                    np.add.at(sums[key][0], ids, seq.x.astype(np.float64))
+                    np.add.at(sums[key][1], ids, hv)
+                    np.add.at(sums[key][2], ids, 1)
+        for key, (x, layers, counts) in sums.items():
+            seen = counts > 0
+            div = np.maximum(counts, 1)[:, None]
+            np.testing.assert_array_equal(getattr(layered, f"{key}_counts"), counts)
+            np.testing.assert_array_equal(getattr(layered, f"{key}_layers"), layers / div[:, :, None])
+            np.testing.assert_array_equal(getattr(layered, f"{key}_x")[seen], (x / div)[seen])
 
     def test_layered_flatten_consistent_with_static(self):
         config, params = make_model()

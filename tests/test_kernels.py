@@ -1,5 +1,5 @@
-"""Parity between the jitted kernels and the pure-numpy fallbacks, and
-the environment-flag selection."""
+"""Parity between the jitted walk kernels and the pure-numpy fallbacks,
+and the environment-flag selection."""
 
 import os
 import subprocess
@@ -46,32 +46,6 @@ class TestWalkParity:
             assert a == b
 
 
-@needs_numba
-class TestGateParity:
-    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-14), (np.float32, 1e-5)])
-    def test_forward(self, dtype, tol):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(9, 16)).astype(dtype)
-        c = rng.normal(size=(9, 4)).astype(dtype)
-        out_py = kernels._lstm_gates_forward_py(a, c)
-        out_jit = kernels._lstm_gates_forward_jit(a, c)
-        for x, y in zip(out_py, out_jit):
-            np.testing.assert_allclose(x, y, rtol=tol, atol=tol)
-
-    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-14), (np.float32, 1e-5)])
-    def test_backward(self, dtype, tol):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(7, 20)).astype(dtype)
-        c_prev = rng.normal(size=(7, 5)).astype(dtype)
-        act, c, tanh_c, hc = kernels._lstm_gates_forward_py(a, c_prev)
-        dhc = rng.normal(size=(7, 5)).astype(dtype)
-        dc = rng.normal(size=(7, 5)).astype(dtype)
-        da1, dcp1 = kernels._lstm_gates_backward_py(dhc, dc, act, c_prev, tanh_c)
-        da2, dcp2 = kernels._lstm_gates_backward_jit(dhc, dc, act, c_prev, tanh_c)
-        np.testing.assert_allclose(da1, da2, rtol=tol, atol=tol)
-        np.testing.assert_allclose(dcp1, dcp2, rtol=tol, atol=tol)
-
-
 class TestEnvFlag:
     def test_disable_flag_selects_numpy_path(self):
         env = dict(os.environ, KGLM_DISABLE_NUMBA="1")
@@ -88,5 +62,3 @@ class TestEnvFlag:
             assert kernels.walk_steps is kernels._walk_steps_jit
         else:
             assert kernels.walk_steps is kernels._walk_steps_py
-        # gate math is pinned to numpy (measured faster; see benchmarks)
-        assert kernels.lstm_gates_forward is kernels._lstm_gates_forward_py

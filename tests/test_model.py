@@ -83,6 +83,21 @@ class TestCheckpoint:
         save_checkpoint(str(other), params, config, ents, rels)
         assert path.read_bytes() == other.read_bytes()
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        params, _, _, _, path = self._roundtrip(tmp_path, "f32")
+        n = sum(arr.nbytes for arr in params.flat().values())
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(ValueError, match=rf"m\.ckpt: the header lists {n} bytes of arrays, found {n + 4}"):
+            load_checkpoint(str(path))
+
+    def test_truncated_file_rejected(self, tmp_path):
+        params, _, _, _, path = self._roundtrip(tmp_path, "f32")
+        n = sum(arr.nbytes for arr in params.flat().values())
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=rf"m\.ckpt: the header lists {n} bytes of arrays, found {n - 3}"):
+            load_checkpoint(str(path))
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"not a checkpoint\n")

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kglm.bilm import pack_batch, tokenize_chain
 from kglm.datasets import make_clustered_kg
 from kglm.graph import build_graph
 from kglm.model import ModelConfig, init_params
@@ -67,6 +68,15 @@ class TestTrain:
         lonely = [Chain(entities=np.array([0]), relations=np.array([], dtype=np.int64))]
         with pytest.raises(ValueError, match="no trainable chains"):
             train_bilm(lonely, graph, small_config(epochs=1))
+
+    def test_single_entity_chain_untrainable(self):
+        # one token has no prediction target; pack_batch still pads it,
+        # because export pools such chains, so train_bilm must skip it
+        chain = Chain(entities=np.array([4]), relations=np.array([], dtype=np.int64))
+        ents, rels = tokenize_chain(chain, eos_rel_id=2)
+        assert len(ents) == 1 and rels[0] == 2
+        batch = pack_batch([(ents, rels)])
+        assert batch.lengths.tolist() == [1] and batch.mask[1:].sum() == 0
 
     def test_short_chains_skipped_with_count(self, caplog):
         graph, chains = small_corpus()
