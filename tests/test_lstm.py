@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kglm import kernels
 from kglm.lstm import lstm_layer_backward, lstm_layer_forward
 from kglm.model import LSTMLayerParams
 
@@ -47,6 +48,38 @@ class TestCell:
         layer = _zero_layer(3, 4, 2)
         with pytest.raises(ValueError, match="fan-in"):
             lstm_layer_forward(np.zeros((1, 2, 5)), np.ones((1, 2)), layer, -3, 3)
+
+    def test_cell_gradients_match_finite_differences(self):
+        # the gate math of one step, with a carried cell state and upstream
+        # gradients on both the gated hidden vector and the new cell state;
+        # the weights, input and recurrent state reach it only through ``a``
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(5, 16))
+        c_prev = rng.normal(size=(5, 4)) * 0.5
+        R_h = rng.normal(size=(5, 4))
+        R_c = rng.normal(size=(5, 4))
+
+        def loss():
+            _, c, _, hc = kernels.lstm_gates_forward(a, c_prev)
+            return float((hc * R_h).sum() + (c * R_c).sum())
+
+        act, _, tanh_c, _ = kernels.lstm_gates_forward(a, c_prev)
+        da, dc_prev = kernels.lstm_gates_backward(R_h, R_c, act, c_prev, tanh_c)
+
+        eps = 1e-5
+        for name, arr, g in [("a", a, da), ("c_prev", c_prev, dc_prev)]:
+            flat = arr.reshape(-1)
+            gflat = g.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + eps
+                up = loss()
+                flat[k] = orig - eps
+                down = loss()
+                flat[k] = orig
+                fd = (up - down) / (2 * eps)
+                rel = abs(fd - gflat[k]) / max(abs(fd), abs(gflat[k]), 1e-6)
+                assert rel < 1e-4, f"{name}[{k}]: fd={fd} analytic={gflat[k]}"
 
 
 class TestLayer:
