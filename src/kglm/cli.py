@@ -130,15 +130,15 @@ def cmd_export(rc):
 
 
 def _trained_scorer(rc, graph, split):
-    paths = _paths(rc)
     params, mconfig = _load_model(rc, graph)
-    chains = read_corpus(paths["corpus"], graph)
-    table = aggregate_static(chains, params, mconfig)
-    dim = rc.scorer_dim or table.dim
     rng = seeds.derived_rng(rc.seed, seeds.SCORER_INIT, 0)
     if rc.init == "dolores":
-        scorer = init_scorer_from_table(table, rc.scorer_kind, dim, rng)
+        chains = read_corpus(_paths(rc)["corpus"], graph)
+        table = aggregate_static(chains, params, mconfig)
+        scorer = init_scorer_from_table(table, rc.scorer_kind, rc.scorer_dim or table.dim, rng)
     else:
+        # the random control takes the width of the static table it replaces
+        dim = rc.scorer_dim or mconfig.entity_dim + mconfig.relation_dim + 2 * mconfig.proj_dim
         scorer = init_scorer_random(rc.scorer_kind, dim, graph.n_entities, graph.n_relations, rng)
     known = split.filter_index.known_triples()
     train_scorer(scorer, split.train, known, rc.scorer_config())

@@ -72,6 +72,10 @@ class RunConfig:
                 raise ConfigError(
                     f"bad value for {key}: {getattr(self, key)!r} (expected one of: {', '.join(allowed)})"
                 )
+        if self.scorer_dim < 0:
+            raise ConfigError(
+                f"bad value for scorer_dim: {self.scorer_dim!r} (expected 0 for the embedding width, or a positive width)"
+            )
 
     def require(self, *names):
         for name in names:
@@ -156,42 +160,34 @@ def read_config_file(path):
     return values
 
 
+# Help strings and metavars; every other flag takes argparse's defaults.
+_FLAG_HELP = {
+    "train": {"metavar": "PATH"},
+    "valid": {"metavar": "PATH"},
+    "test": {"metavar": "PATH"},
+    "out": {"metavar": "DIR"},
+    "p": {"help": "walk return parameter"},
+    "q": {"help": "walk in-out parameter"},
+    "clip": {"help": "projection clip half-range"},
+    "init": {"help": "scorer embedding init: learned contextual table or random"},
+    "negatives": {"help": "corruptions per positive"},
+}
+
+
 def add_flags(parser):
     """Register every RunConfig field as a flag with a None default, so
     only flags the user actually passed override file values."""
     g = parser.add_argument_group("configuration")
     g.add_argument("--config", default=None, metavar="FILE", help="key = value config file")
-    g.add_argument("--train", default=None, metavar="PATH")
-    g.add_argument("--valid", default=None, metavar="PATH")
-    g.add_argument("--test", default=None, metavar="PATH")
-    g.add_argument("--out", default=None, metavar="DIR")
-    g.add_argument("--p", type=float, default=None, help="walk return parameter")
-    g.add_argument("--q", type=float, default=None, help="walk in-out parameter")
-    g.add_argument("--walks-per-node", type=int, default=None)
-    g.add_argument("--walk-length", type=int, default=None)
-    g.add_argument("--layers", type=int, default=None)
-    g.add_argument("--hidden", type=int, default=None)
-    g.add_argument("--proj", type=int, default=None)
-    g.add_argument("--entity-dim", type=int, default=None)
-    g.add_argument("--relation-dim", type=int, default=None)
-    g.add_argument("--clip", type=float, default=None, help="projection clip half-range")
-    g.add_argument("--dropout", type=float, default=None)
-    g.add_argument("--residual", action=argparse.BooleanOptionalAction, default=None)
-    g.add_argument("--batch", type=int, default=None)
-    g.add_argument("--epochs", type=int, default=None)
-    g.add_argument("--lr", type=float, default=None)
-    g.add_argument("--precision", choices=_CHOICES["precision"], default=None)
-    g.add_argument("--checkpoint-interval", type=int, default=None)
-    g.add_argument("--init", choices=_CHOICES["init"], default=None,
-                   help="scorer embedding init: learned contextual table or random")
-    g.add_argument("--scorer-kind", choices=_CHOICES["scorer_kind"], default=None)
-    g.add_argument("--scorer-dim", type=int, default=None)
-    g.add_argument("--scorer-epochs", type=int, default=None)
-    g.add_argument("--scorer-lr", type=float, default=None)
-    g.add_argument("--margin", type=float, default=None)
-    g.add_argument("--negatives", type=int, default=None, help="corruptions per positive")
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--threads", type=int, default=None)
+    for name, ftype in _FIELD_TYPES.items():
+        kwargs = dict(_FLAG_HELP.get(name, {}), default=None)
+        if ftype is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        else:
+            kwargs["type"] = ftype
+        if name in _CHOICES:
+            kwargs["choices"] = _CHOICES[name]
+        g.add_argument("--" + name.replace("_", "-"), **kwargs)
     return parser
 
 

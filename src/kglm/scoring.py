@@ -2,16 +2,13 @@
 
 Two scorer forms: translational (score is the negated L2 distance of
 head + relation - tail) and bilinear (trilinear dot product). Higher
-score always means more plausible. Tables can start random or from the
-static contextual-embedding table; when layered features are supplied
-instead, the per-layer mixture weights and the projection are the
-trainable parameters and embeddings are rematerialized from them.
+score always means more plausible. Tables start random or from the
+static contextual-embedding table and are the trainable parameters.
 Training protocol is identical across initializations: uniform
 corruption negatives, margin ranking loss for the translational form,
 logistic loss for the bilinear form, Adam updates.
 """
 
-import copy
 import logging
 from dataclasses import dataclass
 
@@ -30,9 +27,6 @@ class Scorer:
     kind: str
     ent: np.ndarray  # (|E|, d) float64
     rel: np.ndarray  # (|R|, d)
-    lam: np.ndarray | None = None  # per-layer mixture weights (layered mode)
-    proj: np.ndarray | None = None  # (feature dim, d) projection (layered mode)
-    layered: object | None = None  # LayeredStaticTable source features
 
     def __post_init__(self):
         if self.kind not in SCORER_KINDS:
@@ -116,45 +110,6 @@ def init_scorer_from_table(table, kind, dim=None, rng=None, standardize=True):
     return Scorer(kind=kind, ent=ent, rel=rel)
 
 
-def init_scorer_layered(layered, kind, dim=None, rng=None, standardize=True):
-    """Scorer whose embeddings are a trainable function of the layered
-    features: [x_mean, sum_i lam_i h_mean_i] @ proj. With
-    ``standardize`` the feature columns are centered once and the
-    projection starts as a scaled identity (or random map) matching the
-    random init's spread."""
-    dim = dim or layered.dim
-    if dim != layered.dim and rng is None:
-        raise ValueError("projection to a different dim needs an rng")
-    L = layered.n_layers
-    if standardize:
-        layered = copy.deepcopy(layered)
-        for block in (layered.ent_x, layered.rel_x, layered.ent_layers, layered.rel_layers):
-            block -= block.mean(axis=0)
-    flat_std = np.concatenate(layered.flatten(np.full(L, 1.0 / L)), axis=0).std()
-    gain = _target_std(dim) / flat_std if (standardize and flat_std > 0) else 1.0
-    if dim == layered.dim:
-        proj = np.eye(layered.dim) * gain
-    else:
-        proj = rng.normal(0.0, gain / np.sqrt(layered.dim), size=(layered.dim, dim))
-    scorer = Scorer(
-        kind=kind,
-        ent=np.zeros((layered.ent_x.shape[0], dim)),
-        rel=np.zeros((layered.rel_x.shape[0], dim)),
-        lam=np.full(L, 1.0 / L),
-        proj=proj,
-        layered=layered,
-    )
-    refresh_layered(scorer)
-    return scorer
-
-
-def refresh_layered(scorer):
-    """Rematerialize ent/rel tables from (lam, proj)."""
-    ent_flat, rel_flat = scorer.layered.flatten(scorer.lam)
-    scorer.ent[:] = ent_flat @ scorer.proj
-    scorer.rel[:] = rel_flat @ scorer.proj
-
-
 @dataclass
 class ScorerTrainConfig:
     epochs: int = 100
@@ -227,11 +182,7 @@ def train_scorer(scorer, train_triples, known, cfg):
     train_triples = np.asarray(train_triples, dtype=np.int64)
     n = len(train_triples)
     n_entities = scorer.ent.shape[0]
-    layered_mode = scorer.lam is not None
-    if layered_mode:
-        opt = Adam({"lam": scorer.lam, "proj": scorer.proj}, lr=cfg.lr)
-    else:
-        opt = Adam({"ent": scorer.ent, "rel": scorer.rel}, lr=cfg.lr)
+    opt = Adam({"ent": scorer.ent, "rel": scorer.rel}, lr=cfg.lr)
 
     trace = []
     for epoch in range(1, cfg.epochs + 1):
@@ -265,28 +216,8 @@ def train_scorer(scorer, train_triples, known, cfg):
             _score_grads(scorer, pos, ds_pos, aux_pos, d_ent, d_rel)
             _score_grads(scorer, neg, ds_neg, aux_neg, d_ent, d_rel)
 
-            if layered_mode:
-                opt.step(_layered_grads(scorer, d_ent, d_rel))
-                refresh_layered(scorer)
-            else:
-                opt.step({"ent": d_ent, "rel": d_rel})
+            opt.step({"ent": d_ent, "rel": d_rel})
         trace.append(total / len(pos_rep))
         logger.debug("scorer epoch %d loss %.6f", epoch, trace[-1])
     return scorer, trace
 
-
-def _layered_grads(scorer, d_ent, d_rel):
-    """Pull table gradients back onto (lam, proj) through
-    emb = [x, sum_i lam_i h_i] @ proj."""
-    lay = scorer.layered
-    ent_flat, rel_flat = lay.flatten(scorer.lam)
-    d_proj = ent_flat.T @ d_ent + rel_flat.T @ d_rel
-    D = lay.ent_x.shape[1]
-    proj_ctx = scorer.proj[D:]
-    L = lay.n_layers
-    d_lam = np.empty(L)
-    for i in range(L):
-        z_e = lay.ent_layers[:, i] @ proj_ctx
-        z_r = lay.rel_layers[:, i] @ proj_ctx
-        d_lam[i] = float((z_e * d_ent).sum() + (z_r * d_rel).sum())
-    return {"lam": d_lam, "proj": d_proj}

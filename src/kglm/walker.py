@@ -107,7 +107,7 @@ def next_step_distribution(prev_entity, cur_entity, graph, p, q):
 
 
 def sample_next(prev_entity, cur_entity, graph, p, q, rng):
-    """Draw one (relation, neighbor) step using the active kernel."""
+    """Draw one (relation, neighbor) step with ``kernels.step_choice``."""
     lo = graph.adj_off[cur_entity]
     hi = graph.adj_off[cur_entity + 1]
     if hi == lo:

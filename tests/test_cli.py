@@ -1,9 +1,10 @@
 import os
+from dataclasses import fields
 
 import pytest
 
 from kglm.cli import dispatch, main
-from kglm.config import ConfigError, RunConfig, parse_config
+from kglm.config import _CHOICES, ConfigError, RunConfig, parse_config
 from kglm.datasets import make_clustered_kg, write_split_files
 
 
@@ -81,6 +82,35 @@ class TestParseConfig:
         cfg.write_text("residual = false\n", encoding="utf-8")
         assert parse_config(str(cfg), []).residual is False
 
+    def test_every_field_parses_from_its_flag(self):
+        expected, flags = {}, []
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            if f.type is bool:
+                expected[f.name] = not f.default
+                flags.append(flag if expected[f.name] else "--no-" + flag[2:])
+                continue
+            if f.name in _CHOICES:
+                value = next(c for c in _CHOICES[f.name] if c != f.default)
+            elif f.type is str:
+                value = f"{f.name}.tsv"
+            else:
+                value = f.type(f.default + 1)
+            expected[f.name] = value
+            flags += [flag, str(value)]
+        assert "--no-residual" in flags
+        assert parse_config(None, flags) == RunConfig(**expected)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_scorer_dim_rejected(self, tmp_path, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scorer_dim = -3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="scorer_dim: -3"):
+            if source == "flag":
+                parse_config(None, ["--scorer-dim", "-3"])
+            else:
+                parse_config(str(cfg), [])
+
 
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -137,13 +167,21 @@ class TestDispatch:
         assert 0.0 < metrics[("mrr", "avg")] <= 1.0
         assert metrics[("mr", "avg")] >= 1.0
 
-    def test_random_init_translational_mode(self, tiny_dataset, tmp_path):
+    def test_random_init_translational_mode(self, tiny_dataset, tmp_path, monkeypatch):
         out = str(tmp_path / "run")
         flags = tiny_flags(
             tiny_dataset, out, extra=["--init", "random", "--scorer-kind", "translational"]
         )
-        for sub in ("walk", "train", "eval-link"):
+        for sub in ("walk", "train"):
             assert main([sub, *flags]) == 0
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the random control must not pool the corpus")
+
+        # the random scorer needs only the checkpoint's widths
+        monkeypatch.setattr("kglm.cli.aggregate_static", refuse)
+        for sub in ("eval-link", "eval-triple"):
+            assert main([sub, *flags]) == 0, sub
 
     def test_stale_checkpoint_vocab_detected(self, tiny_dataset, tmp_path):
         out = str(tmp_path / "run")

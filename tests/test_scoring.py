@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kglm import seeds
-from kglm.extract import aggregate_layered, aggregate_static
+from kglm.extract import aggregate_static
 from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig, init_params
 from kglm.ranking import (
@@ -17,7 +17,6 @@ from kglm.scoring import (
     Scorer,
     ScorerTrainConfig,
     init_scorer_from_table,
-    init_scorer_layered,
     init_scorer_random,
     sample_negatives,
     score_triple,
@@ -347,7 +346,6 @@ class TestInitModes:
         b = init_scorer_random("bilinear", table.dim, 10, 5, rng2)
         assert a.kind == b.kind
         assert a.dim == b.dim
-        assert a.lam is None and b.lam is None and a.proj is None and b.proj is None
         assert not np.array_equal(a.ent, b.ent)
 
     def test_table_init_deterministic_and_centered(self):
@@ -367,48 +365,3 @@ class TestInitModes:
         s = init_scorer_from_table(table, "bilinear", dim=6, rng=rng)
         assert s.ent.shape == (10, 6)
 
-    def test_lambda_mode_gradients_match_fd(self):
-        config, params, chains = self._table()
-        layered = aggregate_layered(chains, params, config)
-        scorer = init_scorer_layered(layered, "bilinear")
-        from kglm.scoring import _layered_grads, _score_batch, _score_grads, refresh_layered
-
-        pos = np.array([[0, 0, 1], [2, 1, 3]])
-        neg = np.array([[0, 0, 4], [5, 1, 3]])
-
-        def loss():
-            refresh_layered(scorer)
-            sp, _ = _score_batch(scorer, pos)
-            sn, _ = _score_batch(scorer, neg)
-            return float(np.logaddexp(0, -sp).sum() + np.logaddexp(0, sn).sum())
-
-        refresh_layered(scorer)
-        sp, ap = _score_batch(scorer, pos)
-        sn, an = _score_batch(scorer, neg)
-        d_ent = np.zeros_like(scorer.ent)
-        d_rel = np.zeros_like(scorer.rel)
-        _score_grads(scorer, pos, -1.0 / (1.0 + np.exp(sp)), ap, d_ent, d_rel)
-        _score_grads(scorer, neg, 1.0 / (1.0 + np.exp(-sn)), an, d_ent, d_rel)
-        ga = _layered_grads(scorer, d_ent, d_rel)
-        h = 1e-6
-        for i in range(len(scorer.lam)):
-            orig = scorer.lam[i]
-            scorer.lam[i] = orig + h
-            up = loss()
-            scorer.lam[i] = orig - h
-            down = loss()
-            scorer.lam[i] = orig
-            fd = (up - down) / (2 * h)
-            assert abs(fd - ga["lam"][i]) / max(abs(fd), abs(ga["lam"][i]), 1e-8) < 1e-5
-
-    def test_lambda_mode_training_runs(self):
-        config, params, chains = self._table()
-        layered = aggregate_layered(chains, params, config)
-        scorer = init_scorer_layered(layered, "bilinear")
-        lam0 = scorer.lam.copy()
-        triples = np.array([[0, 0, 1], [2, 1, 3], [4, 2, 0], [1, 0, 3]])
-        known = {tuple(map(int, row)) for row in triples}
-        train_scorer(scorer, triples, known, ScorerTrainConfig(epochs=5, lr=0.05, seed=0))
-        assert not np.array_equal(scorer.lam, lam0)
-        ent_flat, _ = scorer.layered.flatten(scorer.lam)
-        np.testing.assert_allclose(scorer.ent, ent_flat @ scorer.proj, atol=1e-12)
