@@ -16,6 +16,7 @@ from .extract import (
     combine,
     contextual_reps,
     export_embeddings,
+    import_embeddings,
     load_embeddings,
 )
 from .graph import (
@@ -63,6 +64,7 @@ __all__ = [
     "export_embeddings",
     "filtered_rank",
     "generate_corpus",
+    "import_embeddings",
     "init_params",
     "init_scorer_from_table",
     "init_scorer_random",

@@ -3,7 +3,9 @@
 All stages rebuild the graph deterministically from the same split
 files, so ids agree across stages; intermediate artifacts live in the
 --out directory (corpus.txt, model.ckpt, loss_trace.tsv, embedding and
-report files).
+report files). Export is the only stage that pools the corpus into the
+static table: both eval stages start from the exported .vec files, for
+either --init, and never read the checkpoint or the corpus.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import sys
 from . import seeds
 from .classify import triple_classification_eval, write_classification_report
 from .config import ConfigError, add_flags, merge
-from .extract import aggregate_static, export_embeddings
+from .extract import aggregate_static, export_embeddings, import_embeddings
 from .gradcheck import run_gradcheck
 from .graph import load_dataset
 from .model import load_checkpoint
@@ -130,15 +132,16 @@ def cmd_export(rc):
 
 
 def _trained_scorer(rc, graph, split):
-    params, mconfig = _load_model(rc, graph)
+    try:
+        ent, rel = import_embeddings(_paths(rc)["emb"], graph.entities.items, graph.relations.items)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"no embeddings at {exc.filename}; run the export stage first") from None
     rng = seeds.derived_rng(rc.seed, seeds.SCORER_INIT, 0)
+    dim = rc.scorer_dim or ent.shape[1]
     if rc.init == "dolores":
-        chains = read_corpus(_paths(rc)["corpus"], graph)
-        table = aggregate_static(chains, params, mconfig)
-        scorer = init_scorer_from_table(table, rc.scorer_kind, rc.scorer_dim or table.dim, rng)
+        scorer = init_scorer_from_table(ent, rel, rc.scorer_kind, dim, rng)
     else:
-        # the random control takes the width of the static table it replaces
-        dim = rc.scorer_dim or mconfig.entity_dim + mconfig.relation_dim + 2 * mconfig.proj_dim
+        # the random control takes the width of the exported table it replaces
         scorer = init_scorer_random(rc.scorer_kind, dim, graph.n_entities, graph.n_relations, rng)
     known = split.filter_index.known_triples()
     train_scorer(scorer, split.train, known, rc.scorer_config())

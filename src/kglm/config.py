@@ -27,6 +27,14 @@ _CHOICES = {
     "scorer_kind": ("translational", "bilinear"),
 }
 
+# Numeric fields with a lower bound: (test, what the message expects).
+_BOUNDS = {
+    "scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
+    "scorer_epochs": (lambda v: v >= 0, "an integer >= 0"),
+    "negatives": (lambda v: v >= 1, "an integer >= 1"),
+    "margin": (lambda v: v > 0, "a number > 0"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -72,10 +80,9 @@ class RunConfig:
                 raise ConfigError(
                     f"bad value for {key}: {getattr(self, key)!r} (expected one of: {', '.join(allowed)})"
                 )
-        if self.scorer_dim < 0:
-            raise ConfigError(
-                f"bad value for scorer_dim: {self.scorer_dim!r} (expected 0 for the embedding width, or a positive width)"
-            )
+        for key, (ok, expected) in _BOUNDS.items():
+            if not ok(getattr(self, key)):
+                raise ConfigError(f"bad value for {key}: {getattr(self, key)!r} (expected {expected})")
 
     def require(self, *names):
         for name in names:

@@ -10,10 +10,12 @@ in its slot and zeros elsewhere.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .bilm import bilm_states, pack_batch, tokenize_chain
+from .files import atomic_open
 
 
 def contextual_reps(chain, params, config):
@@ -165,32 +167,73 @@ def aggregate_static(chains, params, config, lam=None):
 
 
 def _write_vec(path, names, vecs):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"{len(names)} {vecs.shape[1]}\n")
         for name, row in zip(names, vecs):
             fh.write(name + " " + " ".join(f"{v:.9g}" for v in row) + "\n")
 
 
+def _vec_paths(base_path):
+    return f"{base_path}.entities.vec", f"{base_path}.relations.vec"
+
+
 def export_embeddings(table, entity_names, relation_names, base_path):
     """Write word2vec-style text files ``<base>.entities.vec`` and
     ``<base>.relations.vec`` (header '<count> <dim>', then one line per
-    token). Returns the two paths."""
-    ent_path = f"{base_path}.entities.vec"
-    rel_path = f"{base_path}.relations.vec"
+    token), each atomically. Returns the two paths."""
+    ent_path, rel_path = _vec_paths(base_path)
     _write_vec(ent_path, entity_names, table.entity_vecs)
     _write_vec(rel_path, relation_names, table.relation_vecs)
     return ent_path, rel_path
 
 
+def import_embeddings(base_path, entity_names, relation_names):
+    """Inverse of :func:`export_embeddings`: the entity and relation
+    matrices read from ``<base>.{entities,relations}.vec``. Raises
+    ValueError naming the file unless it lists exactly the given
+    surfaces, in the given order, and both files have one width."""
+    mats = []
+    for path, expected in zip(_vec_paths(base_path), (entity_names, relation_names)):
+        names, vecs = load_embeddings(path)
+        if names != list(expected):
+            i = next(i for i, (a, b) in enumerate(zip_longest(names, expected)) if a != b)
+            raise ValueError(
+                f"{path}:{i + 2}: the surfaces are not the dataset vocabulary in order "
+                f"({len(names)} rows for {len(expected)} surfaces); rerun the export stage"
+            )
+        mats.append(vecs)
+    ent, rel = mats
+    if ent.shape[1] != rel.shape[1]:
+        raise ValueError(f"{base_path}: entity width {ent.shape[1]} != relation width {rel.shape[1]}")
+    return ent, rel
+
+
 def load_embeddings(path):
-    """Read a .vec file back into (names, float64 matrix)."""
+    """Read a .vec file back into (names, float64 matrix). Raises
+    ValueError naming the path and line unless the header is two
+    non-negative ints ``count dim`` followed by exactly ``count`` rows
+    of a surface plus ``dim`` values."""
     with open(path, encoding="utf-8") as fh:
-        head = fh.readline().split()
-        count, dim = int(head[0]), int(head[1])
-        names = []
-        vecs = np.empty((count, dim))
-        for i in range(count):
-            parts = fh.readline().rstrip("\n").split(" ")
-            names.append(parts[0])
-            vecs[i] = [float(v) for v in parts[1:]]
-    return names, vecs
+        try:
+            count, dim = (int(v) for v in fh.readline().split())
+        except ValueError:
+            count = dim = -1
+        if count < 0 or dim < 0:
+            raise ValueError(f"{path}:1: header is not '<count> <dim>' (two non-negative ints)")
+        names, rows = [], []
+        for lineno in range(2, count + 2):
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}:{lineno}: file ends after {lineno - 2} of {count} rows")
+            name, *values = line.removesuffix("\n").split(" ")
+            try:
+                row = [float(v) for v in values]
+            except ValueError:
+                row = None
+            if not name or row is None or len(row) != dim:
+                raise ValueError(f"{path}:{lineno}: expected a surface and {dim} numbers")
+            names.append(name)
+            rows.append(row)
+        if fh.readline():
+            raise ValueError(f"{path}:{count + 2}: a line after the {count} rows the header lists")
+    return names, np.array(rows, dtype=np.float64).reshape(count, dim)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import seeds
+from .files import atomic_open
 
 CHECKPOINT_MAGIC = "kglm-checkpoint 1"
 
@@ -152,8 +153,8 @@ def init_params(config, n_entities, n_relations, rng=None):
 
 
 def save_checkpoint(path, params, config, entities, relations):
-    """Write params + config + vocabularies. Identical inputs produce
-    byte-identical files."""
+    """Write params + config + vocabularies, atomically. Identical inputs
+    produce byte-identical files."""
     arrays = params.flat()
     manifest = [
         {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
@@ -166,7 +167,7 @@ def save_checkpoint(path, params, config, entities, relations):
         "arrays": manifest,
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{len(blob)}\n".encode("ascii"))
         fh.write(blob)
         for arr in arrays.values():

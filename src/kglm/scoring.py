@@ -90,18 +90,19 @@ def _standardize(vecs, dim):
     return c * (_target_std(dim) / std)
 
 
-def init_scorer_from_table(table, kind, dim=None, rng=None, standardize=True):
-    """Materialize scorer tables from a static embedding table: an
-    optional random projection when dims differ, then a standardizing
-    affine map (disable with ``standardize=False`` to get the raw
-    vectors)."""
-    dim = dim or table.dim
-    if dim != table.dim and rng is None:
+def init_scorer_from_table(entity_vecs, relation_vecs, kind, dim=None, rng=None, standardize=True):
+    """Materialize scorer tables from the entity and relation matrices
+    of a static embedding table: an optional random projection when dims
+    differ, then a standardizing affine map (disable with
+    ``standardize=False`` to get the raw vectors)."""
+    ent = np.asarray(entity_vecs, dtype=np.float64)
+    rel = np.asarray(relation_vecs, dtype=np.float64)
+    width = ent.shape[1]
+    dim = dim or width
+    if dim != width and rng is None:
         raise ValueError("projection to a different dim needs an rng")
-    ent = np.asarray(table.entity_vecs, dtype=np.float64)
-    rel = np.asarray(table.relation_vecs, dtype=np.float64)
-    if dim != table.dim:
-        W = rng.normal(0.0, 1.0 / np.sqrt(table.dim), size=(table.dim, dim))
+    if dim != width:
+        W = rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, dim))
         ent = ent @ W
         rel = rel @ W
     if standardize:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, seeds
+from .files import atomic_open
 
 logger = logging.getLogger(__name__)
 
@@ -190,8 +191,9 @@ def _check_surfaces(graph):
 
 
 def write_corpus(chains, graph, path):
+    """Write one chain per line, atomically."""
     _check_surfaces(graph)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for chain in chains:
             fh.write(" ".join(chain.surfaces(graph)))
             fh.write("\n")

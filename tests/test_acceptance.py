@@ -140,7 +140,9 @@ class TestCriterion5DropInImprovement:
             for s in range(5):
                 rng = seeds.derived_rng(s, seeds.SCORER_INIT, 0)
                 if mode == "dolores":
-                    scorer = init_scorer_from_table(toy["table"], "bilinear", None, rng)
+                    scorer = init_scorer_from_table(
+                        toy["table"].entity_vecs, toy["table"].relation_vecs, "bilinear", None, rng
+                    )
                 else:
                     scorer = init_scorer_random(
                         "bilinear", toy["table"].dim, toy["graph"].n_entities, toy["graph"].n_relations, rng

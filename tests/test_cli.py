@@ -101,13 +101,21 @@ class TestParseConfig:
         assert "--no-residual" in flags
         assert parse_config(None, flags) == RunConfig(**expected)
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_negative_scorer_dim_rejected(self, tmp_path, source):
+    @pytest.mark.parametrize(
+        "source,key,value",
+        [
+            pytest.param(source, key, value, id=source if key == "scorer_dim" else f"{source}-{key}")
+            for key, value in [("scorer_dim", "-3"), ("scorer_epochs", "-1"), ("negatives", "0"), ("margin", "0.0")]
+            for source in ("flag", "file")
+        ],
+    )
+    def test_negative_scorer_dim_rejected(self, tmp_path, source, key, value):
+        # every scorer bound is checked at parse time, under its RunConfig key
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scorer_dim = -3\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="scorer_dim: -3"):
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key}: {value}"):
             if source == "flag":
-                parse_config(None, ["--scorer-dim", "-3"])
+                parse_config(None, ["--" + key.replace("_", "-"), value])
             else:
                 parse_config(str(cfg), [])
 
@@ -167,21 +175,52 @@ class TestDispatch:
         assert 0.0 < metrics[("mrr", "avg")] <= 1.0
         assert metrics[("mr", "avg")] >= 1.0
 
-    def test_random_init_translational_mode(self, tiny_dataset, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("init", ["dolores", "random"])
+    def test_random_init_translational_mode(self, tiny_dataset, tmp_path, monkeypatch, init):
         out = str(tmp_path / "run")
         flags = tiny_flags(
-            tiny_dataset, out, extra=["--init", "random", "--scorer-kind", "translational"]
+            tiny_dataset, out, extra=["--init", init, "--scorer-kind", "translational"]
         )
-        for sub in ("walk", "train"):
+        for sub in ("walk", "train", "export"):
             assert main([sub, *flags]) == 0
 
-        def refuse(*args, **kwargs):
-            raise RuntimeError("the random control must not pool the corpus")
+        def refuse(name):
+            def fail(*args, **kwargs):
+                raise RuntimeError(f"eval called {name}: it must start from the exported .vec files")
 
-        # the random scorer needs only the checkpoint's widths
-        monkeypatch.setattr("kglm.cli.aggregate_static", refuse)
+            return fail
+
+        # eval reads only the exported vectors, so neither mode pools the
+        # corpus (the random control never did) or reloads the model
+        for name in ("aggregate_static", "read_corpus", "load_checkpoint"):
+            monkeypatch.setattr(f"kglm.cli.{name}", refuse(name))
         for sub in ("eval-link", "eval-triple"):
             assert main([sub, *flags]) == 0, sub
+
+    def test_eval_before_export_names_missing_file(self, tiny_dataset, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        flags = tiny_flags(tiny_dataset, out)
+        for sub in ("walk", "train"):
+            assert main([sub, *flags]) == 0
+        capsys.readouterr()
+        for sub in ("eval-link", "eval-triple"):
+            assert main([sub, *flags]) == 1, sub
+            err = capsys.readouterr().err
+            assert os.path.join(out, "embeddings.entities.vec") in err
+            assert "run the export stage first" in err
+
+    def test_eval_against_other_datasets_vectors_fails(self, tiny_dataset, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        flags = tiny_flags(tiny_dataset, out)
+        for sub in ("walk", "train", "export"):
+            assert main([sub, *flags]) == 0
+        other = make_clustered_kg(n_entities=10, n_relations=3, n_triples=40, n_clusters=2, seed=9)
+        bad = tiny_flags(write_split_files(str(tmp_path), other, seed=9), out)
+        capsys.readouterr()
+        for sub in ("eval-link", "eval-triple"):
+            assert main([sub, *bad]) == 1, sub
+            err = capsys.readouterr().err
+            assert "embeddings.entities.vec" in err and "not the dataset vocabulary" in err
 
     def test_stale_checkpoint_vocab_detected(self, tiny_dataset, tmp_path):
         out = str(tmp_path / "run")

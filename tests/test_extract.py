@@ -8,6 +8,7 @@ from kglm.extract import (
     combine,
     contextual_reps,
     export_embeddings,
+    import_embeddings,
     load_embeddings,
 )
 from kglm.model import ModelConfig, init_params
@@ -226,3 +227,29 @@ class TestExport:
         np.testing.assert_allclose(vecs, table.entity_vecs, atol=1e-6)
         names_r, vecs_r = load_embeddings(rel_path)
         np.testing.assert_allclose(vecs_r, table.relation_vecs, atol=1e-6)
+        ent, rel = import_embeddings(str(tmp_path / "emb"), ents, rels)
+        np.testing.assert_array_equal(ent, vecs)
+        np.testing.assert_array_equal(rel, vecs_r)
+        with pytest.raises(ValueError, match=r"emb\.relations\.vec:5: the surfaces are not the dataset vocabulary"):
+            import_embeddings(str(tmp_path / "emb"), ents, rels[:3])
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("3 2\na 1 2\nb 3 4\n", 4, "file ends after 2 of 3 rows"),
+            ("2 2\na 1 2\nb 3\n", 3, "expected a surface and 2 numbers"),
+            ("2 2\na 1 2\nb 3 x\n", 3, "expected a surface and 2 numbers"),
+            ("1 2\na 1 2\nb 3 4\n", 3, "a line after the 1 rows"),
+            ("2 x\na 1 2\nb 3 4\n", 1, "header is not"),
+            ("-1 2\n", 1, "header is not"),
+            ("2 2 2\na 1 2\nb 3 4\n", 1, "header is not"),
+            ("", 1, "header is not"),
+        ],
+        ids=["truncated", "short-row", "bad-number", "trailing-row", "header-word", "header-negative",
+             "header-three-ints", "empty"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, line, message):
+        path = tmp_path / "emb.entities.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"emb\.entities\.vec:{line}: {message}"):
+            load_embeddings(str(path))

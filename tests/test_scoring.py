@@ -342,7 +342,7 @@ class TestInitModes:
         table = aggregate_static(chains, params, config)
         rng1 = seeds.derived_rng(3, seeds.SCORER_INIT, 0)
         rng2 = seeds.derived_rng(3, seeds.SCORER_INIT, 0)
-        a = init_scorer_from_table(table, "bilinear", None, rng1)
+        a = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear", None, rng1)
         b = init_scorer_random("bilinear", table.dim, 10, 5, rng2)
         assert a.kind == b.kind
         assert a.dim == b.dim
@@ -351,17 +351,17 @@ class TestInitModes:
     def test_table_init_deterministic_and_centered(self):
         config, params, chains = self._table()
         table = aggregate_static(chains, params, config)
-        s1 = init_scorer_from_table(table, "bilinear")
-        s2 = init_scorer_from_table(table, "bilinear")
+        s1 = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear")
+        s2 = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear")
         np.testing.assert_array_equal(s1.ent, s2.ent)
         np.testing.assert_allclose(s1.ent.mean(axis=0), 0.0, atol=1e-12)
-        raw = init_scorer_from_table(table, "bilinear", standardize=False)
+        raw = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear", standardize=False)
         np.testing.assert_array_equal(raw.ent, table.entity_vecs)
 
     def test_projection_to_smaller_dim(self):
         config, params, chains = self._table()
         table = aggregate_static(chains, params, config)
         rng = np.random.default_rng(0)
-        s = init_scorer_from_table(table, "bilinear", dim=6, rng=rng)
+        s = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear", dim=6, rng=rng)
         assert s.ent.shape == (10, 6)
 
