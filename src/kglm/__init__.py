@@ -34,7 +34,6 @@ from .scoring import (
     ScorerTrainConfig,
     init_scorer_from_table,
     init_scorer_random,
-    score_triple,
     train_scorer,
 )
 from .classify import triple_classification_eval
@@ -78,7 +77,6 @@ __all__ = [
     "rank_breakdown_by_category",
     "sample_walk",
     "save_checkpoint",
-    "score_triple",
     "tokenize_chain",
     "train_bilm",
     "train_scorer",

@@ -25,15 +25,6 @@ def tokenize_chain(chain, eos_rel_id):
     return ents, rels
 
 
-def detokenize_pairs(ents, rels, eos_rel_id):
-    """Inverse of :func:`tokenize_chain`."""
-    from .walker import Chain
-
-    if rels[-1] != eos_rel_id:
-        raise ValueError("pair sequence does not end with the EOS relation")
-    return Chain(entities=np.asarray(ents, dtype=np.int64), relations=np.asarray(rels[:-1], dtype=np.int64))
-
-
 @dataclass
 class Batch:
     ents: np.ndarray  # (T, B) int64, padded with 0
@@ -73,11 +64,6 @@ class LayerStates:
     @property
     def n_layers(self):
         return self.fwd.shape[0]
-
-    def reps_at(self, t):
-        """All 2L+1 representations of position t."""
-        L = self.n_layers
-        return [self.x[t]] + [self.fwd[i, t] for i in range(L)] + [self.bwd[i, t] for i in range(L)]
 
     def layer_concat(self):
         """(L, T, 2P): per-layer bidirectional states."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
+from .files import atomic_open
 from .scoring import sample_negatives
 
 logger = logging.getLogger(__name__)
@@ -137,7 +138,7 @@ def triple_classification_eval(
 
 
 def write_classification_report(result, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"accuracy\tvalid\t{result.valid_accuracy:.6f}\n")
         fh.write(f"accuracy\ttest\t{result.test_accuracy:.6f}\n")
         for r in sorted(result.per_relation_test):

@@ -13,10 +13,13 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import seeds
 from .classify import triple_classification_eval, write_classification_report
 from .config import ConfigError, add_flags, merge
 from .extract import aggregate_static, export_embeddings, import_embeddings
+from .files import atomic_open
 from .gradcheck import run_gradcheck
 from .graph import load_dataset
 from .model import load_checkpoint
@@ -62,16 +65,18 @@ def _load_model(rc, graph):
     return params, mconfig
 
 
+def _write_lines(path, lines):
+    with atomic_open(path) as fh:
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
 def cmd_ingest(rc):
     rc.require("train", "out")
     graph, split = _load_graph(rc)
     os.makedirs(rc.out, exist_ok=True)
-    with open(os.path.join(rc.out, "entities.tsv"), "w", encoding="utf-8") as fh:
-        for i, s in enumerate(graph.entities.items):
-            fh.write(f"{i}\t{s}\n")
-    with open(os.path.join(rc.out, "relations.tsv"), "w", encoding="utf-8") as fh:
-        for i, s in enumerate(graph.relations.items):
-            fh.write(f"{i}\t{s}\n")
+    for name, vocab in (("entities", graph.entities), ("relations", graph.relations)):
+        _write_lines(os.path.join(rc.out, f"{name}.tsv"), (f"{i}\t{s}" for i, s in enumerate(vocab.items)))
     stats = [
         f"entities\t{graph.n_entities}",
         f"relations\t{graph.n_relations}",
@@ -79,9 +84,9 @@ def cmd_ingest(rc):
         f"train_triples\t{len(split.train)}",
         f"valid_triples\t{len(split.valid)}",
         f"test_triples\t{len(split.test)}",
+        f"isolated_entities\t{np.count_nonzero(np.diff(graph.adj_off) == 0)}",
     ]
-    with open(os.path.join(rc.out, "stats.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(stats) + "\n")
+    _write_lines(os.path.join(rc.out, "stats.txt"), stats)
     print("\n".join(stats))
     return 0
 
@@ -110,9 +115,7 @@ def cmd_train(rc):
         checkpoint_path=paths["ckpt"],
         checkpoint_interval=rc.checkpoint_interval,
     )
-    with open(paths["trace"], "w", encoding="utf-8") as fh:
-        for epoch, loss in enumerate(trace, start=1):
-            fh.write(f"{epoch}\t{loss:.6f}\n")
+    _write_lines(paths["trace"], (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(trace, start=1)))
     print(f"wrote checkpoint to {paths['ckpt']} ({len(trace)} epochs)")
     return 0
 

@@ -208,16 +208,3 @@ def merge(namespace):
         if flag_val is not None:
             values[f.name] = flag_val
     return RunConfig(**values)
-
-
-def parse_config(config_path, flag_list):
-    """Build a RunConfig from an optional config file plus a flag list
-    (flags win)."""
-    parser = argparse.ArgumentParser(prog="kglm", add_help=False)
-    add_flags(parser)
-    ns, extra = parser.parse_known_args(flag_list)
-    if extra:
-        raise ConfigError(f"unknown flags: {' '.join(extra)}")
-    if config_path is not None:
-        ns.config = config_path
-    return merge(ns)

@@ -78,21 +78,21 @@ def load_triples(path):
     return triples
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeGraph:
     """Immutable indexed view of a triple set.
 
     ``triples`` holds the deduplicated input triples as id rows (n, 3).
     Adjacency is CSR over outgoing edges and, when inverses are enabled,
-    contains one ``(t, r^-1, h)`` edge per stored ``(h, r, t)``.
-    ``nbr_off``/``nbr_sorted`` index the sorted unique out-neighbors per
-    entity, used for the second-order distance test during walks.
+    contains one ``(t, r^-1, h)`` edge right after each stored
+    ``(h, r, t)``. ``nbr_off``/``nbr_sorted`` index the sorted unique
+    out-neighbors per entity, used for the second-order distance test
+    during walks.
     """
 
     entities: Vocab
     relations: Vocab
     n_base_relations: int
-    has_inverses: bool
     triples: np.ndarray
     adj_off: np.ndarray
     adj_rel: np.ndarray
@@ -112,16 +112,6 @@ class KnowledgeGraph:
     def eos_id(self):
         return len(self.relations) - 1
 
-    def inverse_id(self, rel_id):
-        if not self.has_inverses:
-            raise ValueError("graph was built without inverse relations")
-        if rel_id >= self.n_base_relations:
-            raise ValueError(f"relation {rel_id} is not a base relation")
-        return rel_id + self.n_base_relations
-
-    def is_inverse(self, rel_id):
-        return self.has_inverses and self.n_base_relations <= rel_id < 2 * self.n_base_relations
-
     def out_edges(self, entity_id):
         """(relation ids, neighbor ids) of the outgoing edges."""
         lo, hi = self.adj_off[entity_id], self.adj_off[entity_id + 1]
@@ -139,11 +129,6 @@ class KnowledgeGraph:
         k = np.searchsorted(nbrs, other_id)
         return k < len(nbrs) and nbrs[k] == other_id
 
-    def triple_surfaces(self):
-        """Stored triples back as surface tuples, preserving order."""
-        ents, rels = self.entities.items, self.relations.items
-        return [(ents[h], rels[r], ents[t]) for h, r, t in self.triples]
-
 
 def _dedupe(triples):
     seen = set()
@@ -159,13 +144,28 @@ def _dedupe(triples):
     return out
 
 
-def build_graph(triples, add_inverses=True):
+def _to_ids(surface_triples, entities, relations):
+    return np.array(
+        [(entities.id_of(h), relations.id_of(r), entities.id_of(t)) for h, r, t in surface_triples],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+
+
+def _offsets(rows, n):
+    """CSR offsets (n + 1,) of the rows whose ids ``rows`` lists, in [0, n)."""
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=off[1:])
+    return off
+
+
+def build_graph(triples, add_inverses=True, extra_entities=()):
     """Index surface triples into a :class:`KnowledgeGraph`.
 
-    Ids follow first appearance (head before tail within a triple).
-    Inverse relation ids are base id + number of base relations; the EOS
-    sentinel takes the final relation id. Duplicate triples are dropped
-    with a logged count.
+    Ids follow first appearance (head before tail within a triple);
+    ``extra_entities`` not already seen get the next ids, in order, and
+    no edges. Inverse relation ids are base id + number of base
+    relations; the EOS sentinel takes the final relation id. Duplicate
+    triples are dropped with a logged count.
     """
     if not triples:
         raise ValueError("cannot build a graph from an empty triple list")
@@ -179,6 +179,8 @@ def build_graph(triples, add_inverses=True):
         entities.add(h)
         relations.add(r)
         entities.add(t)
+    for e in extra_entities:
+        entities.add(e)
     n_base = len(relations)
     if add_inverses:
         for r in list(relations.items[:n_base]):
@@ -188,52 +190,30 @@ def build_graph(triples, add_inverses=True):
             relations.add(inv)
     relations.add(EOS_SURFACE)
 
-    ids = np.array(
-        [(entities.index[h], relations.index[r], entities.index[t]) for h, r, t in triples],
-        dtype=np.int64,
-    )
-
+    ids = _to_ids(triples, entities, relations)
     n_ent = len(entities)
-    deg = np.zeros(n_ent, dtype=np.int64)
-    np.add.at(deg, ids[:, 0], 1)
+    h, r, t = ids.T
     if add_inverses:
-        np.add.at(deg, ids[:, 2], 1)
-    adj_off = np.zeros(n_ent + 1, dtype=np.int64)
-    np.cumsum(deg, out=adj_off[1:])
-    m = int(adj_off[-1])
-    adj_rel = np.empty(m, dtype=np.int64)
-    adj_nbr = np.empty(m, dtype=np.int64)
-    cursor = adj_off[:-1].copy()
-    for h, r, t in ids:
-        k = cursor[h]
-        adj_rel[k] = r
-        adj_nbr[k] = t
-        cursor[h] += 1
-        if add_inverses:
-            k = cursor[t]
-            adj_rel[k] = r + n_base
-            adj_nbr[k] = h
-            cursor[t] += 1
-
-    nbr_chunks = []
-    nbr_off = np.zeros(n_ent + 1, dtype=np.int64)
-    for e in range(n_ent):
-        uniq = np.unique(adj_nbr[adj_off[e] : adj_off[e + 1]])
-        nbr_chunks.append(uniq)
-        nbr_off[e + 1] = nbr_off[e] + len(uniq)
-    nbr_sorted = np.concatenate(nbr_chunks) if nbr_chunks else np.empty(0, dtype=np.int64)
+        # edge 2i is triple i, edge 2i + 1 its inverse
+        src = np.column_stack([h, t]).ravel()
+        rel = np.column_stack([r, r + n_base]).ravel()
+        nbr = np.column_stack([t, h]).ravel()
+    else:
+        src, rel, nbr = h, r, t
+    # a stable sort keeps each entity's edges in input order
+    order = np.argsort(src, kind="stable")
+    keys = np.unique(src * n_ent + nbr)
 
     return KnowledgeGraph(
         entities=entities,
         relations=relations,
         n_base_relations=n_base,
-        has_inverses=add_inverses,
         triples=ids,
-        adj_off=adj_off,
-        adj_rel=adj_rel,
-        adj_nbr=adj_nbr,
-        nbr_off=nbr_off,
-        nbr_sorted=nbr_sorted.astype(np.int64),
+        adj_off=_offsets(src, n_ent),
+        adj_rel=rel[order],
+        adj_nbr=nbr[order],
+        nbr_off=_offsets(keys // n_ent, n_ent),
+        nbr_sorted=keys % n_ent,
     )
 
 
@@ -273,19 +253,15 @@ class DatasetSplit:
     filter_index: FilterIndex
 
     def __post_init__(self):
-        seen = set()
+        owner = {}
         for name, arr in (("train", self.train), ("valid", self.valid), ("test", self.test)):
-            s = {tuple(row) for row in np.asarray(arr)}
-            if seen & s:
-                raise ValueError(f"split {name} overlaps another split")
-            seen |= s
-
-
-def _to_ids(surface_triples, entities, relations):
-    return np.array(
-        [(entities.id_of(h), relations.id_of(r), entities.id_of(t)) for h, r, t in surface_triples],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+            rows = [tuple(row) for row in np.asarray(arr).tolist()]
+            shared = next((row for row in rows if row in owner), None)
+            if shared is not None:
+                raise ValueError(
+                    f"split {name} overlaps split {owner[shared]}: both hold the id triple {shared}"
+                )
+            owner.update(dict.fromkeys(rows, name))
 
 
 def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True):
@@ -294,23 +270,19 @@ def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True)
     The vocabulary covers every split so evaluation triples always have
     ids, but the graph's stored triples and adjacency come from the
     train split alone: walks and scorer training must not see held-out
-    edges.
+    edges. Entities first seen in valid or test are isolated.
     """
     train = load_triples(train_path)
     valid = load_triples(valid_path) if valid_path else []
     test = load_triples(test_path) if test_path else []
 
-    graph = build_graph(train, add_inverses=add_inverses)
-    for h, r, t in valid + test:
-        graph.entities.add(h)
-        graph.entities.add(t)
+    held_out = valid + test
+    graph = build_graph(
+        train, add_inverses=add_inverses, extra_entities=[e for h, _, t in held_out for e in (h, t)]
+    )
+    for _, r, _ in held_out:
         if r not in graph.relations:
             raise ValueError(f"relation {r!r} appears only outside the train split")
-    extra = graph.n_entities - (graph.nbr_off.shape[0] - 1)
-    if extra:
-        # entities first seen in valid/test are isolated in the train graph
-        graph.adj_off = np.concatenate([graph.adj_off, np.full(extra, graph.adj_off[-1])])
-        graph.nbr_off = np.concatenate([graph.nbr_off, np.full(extra, graph.nbr_off[-1])])
 
     train_ids = graph.triples
     valid_ids = _to_ids(valid, graph.entities, graph.relations)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_open
+
 
 def filtered_rank(scorer, triple, side, filter_index, n_entities):
     """Pessimistic filtered rank of the true entity on one side."""
@@ -86,7 +88,7 @@ def link_prediction_eval(scorer, test_triples, filter_index, n_entities):
 def write_metrics_report(result, path):
     """Machine-readable report: one ``metric<TAB>subtask<TAB>value``
     line per entry."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for metric, side, value in result.report_rows():
             fh.write(f"{metric}\t{side}\t{value:.6f}\n")
 
@@ -101,7 +103,7 @@ def format_metrics_table(result):
 
 def write_ranks(result, test_triples, path):
     """Per-triple rank dump: head, relation, tail ids plus both ranks."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("head\trelation\ttail\thead_rank\ttail_rank\n")
         for (h, r, t), hr, tr in zip(np.asarray(test_triples), result.head_ranks, result.tail_ranks):
             fh.write(f"{h}\t{r}\t{t}\t{hr}\t{tr}\n")
@@ -123,7 +125,7 @@ def rank_breakdown_by_category(test_triples, tail_ranks, relation_names, separat
 
 
 def write_breakdown(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("category\tmean_tail_rank\tcount\n")
         for cat, mean, count in rows:
             fh.write(f"{cat}\t{mean:.6f}\t{count}\n")

@@ -60,10 +60,6 @@ class Scorer:
         return self.ent @ (self.ent[h] * self.rel[r])
 
 
-def score_triple(scorer, h, r, t):
-    return scorer.score(h, r, t)
-
-
 def init_scorer_random(kind, dim, n_entities, n_relations, rng):
     """Uniform +-6/sqrt(d) tables, the usual translational-model init."""
     s = 6.0 / np.sqrt(dim)

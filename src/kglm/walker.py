@@ -107,28 +107,6 @@ def next_step_distribution(prev_entity, cur_entity, graph, p, q):
     return StepDistribution(rels, nbrs, w / w.sum())
 
 
-def sample_next(prev_entity, cur_entity, graph, p, q, rng):
-    """Draw one (relation, neighbor) step with ``kernels.step_choice``."""
-    lo = graph.adj_off[cur_entity]
-    hi = graph.adj_off[cur_entity + 1]
-    if hi == lo:
-        raise ValueError(f"entity {cur_entity} has no outgoing edges")
-    prev = -1 if prev_entity is None else int(prev_entity)
-    k = kernels.step_choice(
-        graph.adj_rel,
-        graph.adj_nbr,
-        lo,
-        hi,
-        graph.nbr_off,
-        graph.nbr_sorted,
-        prev,
-        1.0 / p,
-        1.0 / q,
-        rng.random(),
-    )
-    return int(graph.adj_rel[lo + k]), int(graph.adj_nbr[lo + k])
-
-
 def sample_walk(start_entity, graph, config, rng):
     """Walk from ``start_entity``; the first step is uniform over its
     out-edges, later steps follow the second-order rule. Dead ends

@@ -2,11 +2,14 @@
 pipeline (clustered KG -> walks -> trained model) reused by the
 training-dependent tests and the acceptance suite."""
 
+import argparse
 import time
 
 import numpy as np
 import pytest
 
+from kglm import kernels
+from kglm.config import ConfigError, add_flags, merge
 from kglm.datasets import make_clustered_kg, split_triples
 from kglm.extract import aggregate_static
 from kglm.graph import build_filter_index, build_graph
@@ -51,6 +54,31 @@ def random_graph(seed, n_entities=30, n_relations=5, n_triples=90):
         seen.add((h, r, t))
         triples.append((f"e{h}", f"r{r}", f"e{t}"))
     return triples
+
+
+def parse_config(config_path, flag_list):
+    """Build a RunConfig from an optional config file plus a flag list
+    (flags win), as ``kglm.cli.main`` does."""
+    parser = argparse.ArgumentParser(prog="kglm", add_help=False)
+    add_flags(parser)
+    ns, extra = parser.parse_known_args(flag_list)
+    if extra:
+        raise ConfigError(f"unknown flags: {' '.join(extra)}")
+    if config_path is not None:
+        ns.config = config_path
+    return merge(ns)
+
+
+def step(graph, prev, cur, p, q, u):
+    """One second-order step from ``cur`` (``prev=None``: no history)
+    through ``kernels.step_choice``, the kernel ``walk_steps`` runs, on
+    the CSR slice of ``cur``. Returns the (relation, neighbor) ids."""
+    lo, hi = graph.adj_off[cur], graph.adj_off[cur + 1]
+    prev = -1 if prev is None else int(prev)
+    k = kernels.step_choice(
+        graph.adj_rel, graph.adj_nbr, lo, hi, graph.nbr_off, graph.nbr_sorted, prev, 1.0 / p, 1.0 / q, u
+    )
+    return int(graph.adj_rel[lo + k]), int(graph.adj_nbr[lo + k])
 
 
 def to_ids(graph, surface_triples):

@@ -25,9 +25,9 @@ from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig, init_params
 from kglm.ranking import filtered_rank, link_prediction_eval
 from kglm.scoring import Scorer, ScorerTrainConfig, init_scorer_from_table, init_scorer_random, train_scorer
-from kglm.walker import Chain, next_step_distribution, sample_next
+from kglm.walker import Chain, next_step_distribution
 
-from conftest import random_graph
+from conftest import random_graph, step
 from test_classify import FixedScorer, brute_force_best_accuracy
 from test_scoring import rank_oracle
 
@@ -61,7 +61,7 @@ class TestCriterion2WalkDistribution:
         rng = np.random.default_rng(seed)
         counts = {}
         for _ in range(n):
-            key = sample_next(prev, cur, graph, p, q, rng)
+            key = step(graph, prev, cur, p, q, rng.random())
             counts[key] = counts.get(key, 0) + 1
         tv = 0.0
         for rel, nbr, pr in zip(dist.rels, dist.nbrs, dist.probs):
@@ -181,7 +181,9 @@ class TestCriterion6StructuralInvariants:
         params = init_params(config, 12, 6)
         chain = Chain(entities=np.array([0, 3, 7, 2]), relations=np.array([1, 0, 2]))
         states = contextual_reps(chain, params, config)
-        reps_ok = all(len(states.reps_at(t)) == 2 * config.num_layers + 1 for t in range(4))
+        # 2L+1 vectors per position: the pair embedding, L forward, L backward
+        L = config.num_layers
+        reps_ok = len(states.x) == 4 and states.fwd.shape[:2] == states.bwd.shape[:2] == (L, 4)
 
         blown = init_params(config, 12, 6)
         for layers in (blown.fwd, blown.bwd):

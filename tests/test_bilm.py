@@ -4,7 +4,6 @@ import pytest
 from kglm.bilm import (
     bilm_backward,
     bilm_forward,
-    detokenize_pairs,
     log_softmax,
     pack_batch,
     softmax_nll,
@@ -54,13 +53,6 @@ class TestTokenize:
         assert len(ents) == 11
         # 10 forward prediction targets (positions 2..11)
         assert len(ents) - 1 == 10
-
-    def test_round_trip(self):
-        chain = Chain(entities=np.array([2, 4, 6]), relations=np.array([1, 3]))
-        ents, rels = tokenize_chain(chain, eos_rel_id=5)
-        back = detokenize_pairs(ents, rels, eos_rel_id=5)
-        assert np.array_equal(back.entities, chain.entities)
-        assert np.array_equal(back.relations, chain.relations)
 
 
 class TestForward:

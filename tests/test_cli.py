@@ -4,8 +4,10 @@ from dataclasses import fields
 import pytest
 
 from kglm.cli import dispatch, main
-from kglm.config import _CHOICES, ConfigError, RunConfig, parse_config
+from kglm.config import _CHOICES, ConfigError, RunConfig
 from kglm.datasets import make_clustered_kg, write_split_files
+
+from conftest import parse_config
 
 
 @pytest.fixture(scope="module")

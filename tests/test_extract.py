@@ -38,8 +38,9 @@ class TestContextualReps:
     def test_2l_plus_1_representations(self):
         config, params = make_model(layers=4)
         states = contextual_reps(chain([0, 1, 2], [0, 1]), params, config)
-        assert len(states.reps_at(0)) == 9
-        assert len(states.reps_at(2)) == 9
+        # per position: x, then 4 forward and 4 backward layer states
+        assert states.x.shape == (3, 5 + 3)
+        assert states.fwd.shape == states.bwd.shape == (4, 3, 4)
 
     def test_deterministic(self):
         config, params = make_model()

@@ -3,13 +3,17 @@
 import os
 import stat
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import kglm.cli
+from kglm.config import RunConfig
 from kglm.extract import StaticEmbeddingTable, export_embeddings
 from kglm.graph import build_graph
 from kglm.model import ModelConfig, init_params, save_checkpoint
+from kglm.ranking import write_breakdown
 from kglm.walker import Chain, write_corpus
 
 
@@ -50,7 +54,29 @@ def vec_writer(tmp_path, fail):
     return ["embeddings.entities.vec", "embeddings.relations.vec"]
 
 
-@pytest.mark.parametrize("writer", [corpus_writer, checkpoint_writer, vec_writer])
+def report_writer(tmp_path, fail):
+    rows = [("a", 1.5, 2), ("b", 2.0, 1)]
+    if fail:
+        rows = [("a", 1.25, 2), ("b", "not a number", 1)]
+    write_breakdown(rows, str(tmp_path / "link_breakdown.tsv"))
+    return ["link_breakdown.tsv"]
+
+
+def loss_trace_writer(tmp_path, fail):
+    # the train stage as the CLI runs it, with training replaced by a
+    # fixed trace; its inputs sit next to the trace and must not change
+    (tmp_path / "train.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+    (tmp_path / "corpus.txt").write_text("a r b\n", encoding="utf-8")
+    trace = [0.5, 0.25] if not fail else [0.75, "not a number"]
+    rc = RunConfig(train=str(tmp_path / "train.tsv"), out=str(tmp_path))
+    with mock.patch.object(kglm.cli, "train_bilm", lambda *args, **kwargs: (None, trace)):
+        kglm.cli.cmd_train(rc)
+    return ["loss_trace.tsv", "corpus.txt", "train.tsv"]
+
+
+@pytest.mark.parametrize(
+    "writer", [corpus_writer, checkpoint_writer, vec_writer, report_writer, loss_trace_writer]
+)
 def test_failed_write_keeps_previous_file(tmp_path, tmp_path_factory, writer):
     names = writer(tmp_path, fail=False)
     assert sorted(os.listdir(tmp_path)) == sorted(names)

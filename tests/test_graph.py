@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kglm.cli import main as cli_main
 from kglm.graph import (
     EOS_SURFACE,
+    INVERSE_SUFFIX,
     DatasetSplit,
     TripleParseError,
+    Vocab,
     build_filter_index,
     build_graph,
     load_dataset,
@@ -18,6 +23,83 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def three_splits(tmp_path):
+    """Train a-b-c; valid a->c; test d->a, so d is the one entity with
+    no train edge."""
+    return (
+        _write(tmp_path, "train.tsv", "a\tr\tb\nb\tr\tc\n"),
+        _write(tmp_path, "valid.tsv", "a\tr\tc\n"),
+        _write(tmp_path, "test.tsv", "d\tr\ta\n"),
+    )
+
+
+def reference_index(triples, add_inverses, extra_entities):
+    """The per-triple cursor and per-entity np.unique builder, with
+    held-out-only entities appended afterwards as isolated nodes: the
+    reference for the array-built index."""
+    triples = list(dict.fromkeys(triples))
+    entities, relations = Vocab(), Vocab()
+    for h, r, t in triples:
+        entities.add(h)
+        relations.add(r)
+        entities.add(t)
+    n_base = len(relations)
+    if add_inverses:
+        for r in list(relations.items):
+            relations.add(r + INVERSE_SUFFIX)
+    relations.add(EOS_SURFACE)
+    ids = np.array(
+        [(entities.index[h], relations.index[r], entities.index[t]) for h, r, t in triples],
+        dtype=np.int64,
+    )
+    n_ent = len(entities)
+    deg = np.zeros(n_ent, dtype=np.int64)
+    np.add.at(deg, ids[:, 0], 1)
+    if add_inverses:
+        np.add.at(deg, ids[:, 2], 1)
+    adj_off = np.zeros(n_ent + 1, dtype=np.int64)
+    np.cumsum(deg, out=adj_off[1:])
+    adj_rel = np.empty(adj_off[-1], dtype=np.int64)
+    adj_nbr = np.empty(adj_off[-1], dtype=np.int64)
+    cursor = adj_off[:-1].copy()
+    for h, r, t in ids:
+        adj_rel[cursor[h]], adj_nbr[cursor[h]] = r, t
+        cursor[h] += 1
+        if add_inverses:
+            adj_rel[cursor[t]], adj_nbr[cursor[t]] = r + n_base, h
+            cursor[t] += 1
+    chunks = [np.unique(adj_nbr[adj_off[e] : adj_off[e + 1]]) for e in range(n_ent)]
+    nbr_off = np.zeros(n_ent + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in chunks], out=nbr_off[1:])
+    for e in extra_entities:
+        entities.add(e)
+    pad = len(entities) - n_ent
+    return {
+        "entities": entities.items,
+        "relations": relations.items,
+        "triples": ids,
+        "adj_off": np.concatenate([adj_off, np.full(pad, adj_off[-1])]),
+        "adj_rel": adj_rel,
+        "adj_nbr": adj_nbr,
+        "nbr_off": np.concatenate([nbr_off, np.full(pad, nbr_off[-1])]),
+        "nbr_sorted": np.concatenate(chunks),
+    }
+
+
+def messy_graph(seed):
+    """Random surface triples over few entities, so self-loops, parallel
+    edges and duplicate lines are common (one of each is forced), plus
+    held-out entity surfaces, some of which never appear in train."""
+    rng = np.random.default_rng(seed)
+    n_ent = int(rng.integers(2, 12))
+    rows = rng.integers(0, [n_ent, 3, n_ent], size=(int(rng.integers(1, 40)), 3))
+    triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
+    h, r, _ = triples[0]
+    triples += [(h, r, h), (h, r + "x", h), triples[0]]
+    extra = [f"e{e}" for e in rng.integers(0, n_ent + 5, size=int(rng.integers(0, 10)))]
+    return triples, extra
 
 
 class TestLoadTriples:
@@ -85,7 +167,8 @@ class TestBuildGraph:
     def test_round_trip_surfaces(self):
         triples = random_graph(0)
         g = build_graph(triples)
-        assert g.triple_surfaces() == triples
+        ents, rels = g.entities.items, g.relations.items
+        assert [(ents[h], rels[r], ents[t]) for h, r, t in g.triples] == triples
 
     def test_empty_input_error(self):
         with pytest.raises(ValueError):
@@ -97,17 +180,26 @@ class TestBuildGraph:
 
     def test_inverse_closure(self):
         g = build_graph(random_graph(1))
+        n_base = g.n_base_relations
         for h, r, t in g.triples:
             rels, nbrs = g.out_edges(t)
-            assert any(rr == g.inverse_id(r) and nn == h for rr, nn in zip(rels, nbrs))
+            assert any(rr == r + n_base and nn == h for rr, nn in zip(rels, nbrs))
         # and vice versa: every inverse edge has its source triple
-        n_inv = sum(
-            1
-            for e in range(g.n_entities)
-            for rr in g.out_edges(e)[0]
-            if g.is_inverse(rr)
-        )
+        n_inv = np.count_nonzero((g.adj_rel >= n_base) & (g.adj_rel < 2 * n_base))
         assert n_inv == len(g.triples)
+
+    @pytest.mark.parametrize("add_inverses", [True, False])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_index_matches_loop_reference(self, seed, add_inverses):
+        triples, extra = messy_graph(seed)
+        g = build_graph(triples, add_inverses=add_inverses, extra_entities=extra)
+        ref = reference_index(triples, add_inverses, extra)
+        assert g.entities.items == ref["entities"]
+        assert g.relations.items == ref["relations"]
+        for name in ("triples", "adj_off", "adj_rel", "adj_nbr", "nbr_off", "nbr_sorted"):
+            got = getattr(g, name)
+            assert got.dtype == np.int64, name
+            assert np.array_equal(got, ref[name]), name
 
 
 class TestFilterIndex:
@@ -154,13 +246,15 @@ class TestDataset:
             DatasetSplit(train=tri, valid=tri, test=np.empty((0, 3), dtype=np.int64),
                          filter_index=build_filter_index(tri))
 
+    def test_overlap_names_both_splits_and_the_triple(self):
+        train = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+        test = np.array([[2, 0, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"split test overlaps split train: .*\(1, 0, 2\)"):
+            DatasetSplit(train=train, valid=np.empty((0, 3), dtype=np.int64), test=test,
+                         filter_index=build_filter_index(train, test))
+
     def test_load_dataset_vocab_covers_all_splits(self, tmp_path):
-        (tmp_path / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
-        (tmp_path / "valid.tsv").write_text("a\tr\tc\n", encoding="utf-8")
-        (tmp_path / "test.tsv").write_text("d\tr\ta\n", encoding="utf-8")
-        graph, split = load_dataset(
-            str(tmp_path / "train.tsv"), str(tmp_path / "valid.tsv"), str(tmp_path / "test.tsv")
-        )
+        graph, split = load_dataset(*three_splits(tmp_path))
         assert "d" in graph.entities
         # d exists only outside train: isolated in the walk graph
         assert graph.out_degree(graph.entities.id_of("d")) == 0
@@ -169,6 +263,31 @@ class TestDataset:
         r = graph.relations.id_of("r")
         a, c = graph.entities.id_of("a"), graph.entities.id_of("c")
         assert a in split.filter_index.tails[(a, r)] or c in split.filter_index.tails[(a, r)]
+
+    def test_loaded_graph_is_frozen(self, tmp_path):
+        graph, _ = load_dataset(*three_splits(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.adj_off = graph.adj_off
+
+    def test_held_out_only_entities_come_last_and_isolated(self, tmp_path):
+        train = _write(tmp_path, "train.tsv", "a\tr\tb\nb\ts\tc\n")
+        valid = _write(tmp_path, "valid.tsv", "x\tr\ta\nc\ts\ty\n")
+        test = _write(tmp_path, "test.tsv", "z\tr\tx\n")
+        graph, _ = load_dataset(train, valid, test)
+        assert graph.entities.items == ["a", "b", "c", "x", "y", "z"]
+        for e in range(3, 6):
+            rels, nbrs = graph.out_edges(e)
+            assert len(rels) == len(nbrs) == len(graph.neighbors_sorted(e)) == 0
+        assert len(graph.adj_off) == len(graph.nbr_off) == 7
+
+    def test_ingest_counts_isolated_entities(self, tmp_path):
+        train, valid, test = three_splits(tmp_path)
+        out = tmp_path / "out"
+        args = ["ingest", "--train", train, "--valid", valid, "--test", test, "--out", str(out)]
+        assert cli_main(args) == 0
+        lines = (out / "stats.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "entities\t4"
+        assert lines[-1] == "isolated_entities\t1"
 
     def test_unknown_relation_outside_train_rejected(self, tmp_path):
         (tmp_path / "train.tsv").write_text("a\tr\tb\n", encoding="utf-8")

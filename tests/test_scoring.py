@@ -19,7 +19,6 @@ from kglm.scoring import (
     init_scorer_from_table,
     init_scorer_random,
     sample_negatives,
-    score_triple,
     train_scorer,
 )
 
@@ -34,12 +33,12 @@ def rank_oracle(scorer, triple, side, fidx, n_entities):
         known = fidx.heads.get((r, t), set())
         target = h
         cands = [e for e in range(n_entities) if e == target or e not in known]
-        scored = [(score_triple(scorer, e, r, t), e) for e in cands]
+        scored = [(scorer.score(e, r, t), e) for e in cands]
     else:
         known = fidx.tails.get((h, r), set())
         target = t
         cands = [e for e in range(n_entities) if e == target or e not in known]
-        scored = [(score_triple(scorer, h, r, e), e) for e in cands]
+        scored = [(scorer.score(h, r, e), e) for e in cands]
     scored.sort(key=lambda se: (-se[0], se[1] == target))
     return 1 + [e for _, e in scored].index(target)
 
@@ -49,13 +48,13 @@ class TestScoreTriple:
         ent = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         rel = np.array([[0.0, 1.0]])
         s = Scorer(kind="translational", ent=ent, rel=rel)
-        assert score_triple(s, 0, 0, 2) == 0.0  # v_h + v_r == v_t
-        assert score_triple(s, 1, 0, 2) < 0.0
+        assert s.score(0, 0, 2) == 0.0  # v_h + v_r == v_t
+        assert s.score(1, 0, 2) < 0.0
 
     def test_bilinear_all_ones(self):
         ones = np.ones((2, 3))
         s = Scorer(kind="bilinear", ent=ones, rel=ones.copy())
-        assert score_triple(s, 0, 0, 1) == 3.0
+        assert s.score(0, 0, 1) == 3.0
 
     def test_matches_arithmetic_oracle(self):
         rng = np.random.default_rng(0)
@@ -65,17 +64,17 @@ class TestScoreTriple:
         bi = Scorer(kind="bilinear", ent=ent, rel=rel)
         for h, r, t in [(0, 0, 1), (2, 1, 4), (3, 2, 0)]:
             v = ent[h] + rel[r] - ent[t]
-            assert score_triple(tr, h, r, t) == pytest.approx(-np.sqrt((v * v).sum()), abs=1e-12)
-            assert score_triple(bi, h, r, t) == pytest.approx(
+            assert tr.score(h, r, t) == pytest.approx(-np.sqrt((v * v).sum()), abs=1e-12)
+            assert bi.score(h, r, t) == pytest.approx(
                 sum(ent[h][d] * rel[r][d] * ent[t][d] for d in range(4)), abs=1e-12
             )
 
     def test_unknown_ids_rejected(self):
         s = Scorer(kind="bilinear", ent=np.ones((2, 2)), rel=np.ones((1, 2)))
         with pytest.raises(ValueError):
-            score_triple(s, 5, 0, 0)
+            s.score(5, 0, 0)
         with pytest.raises(ValueError):
-            score_triple(s, 0, 3, 0)
+            s.score(0, 3, 0)
 
     def test_batched_scores_agree_with_scalar(self):
         rng = np.random.default_rng(1)
@@ -84,8 +83,8 @@ class TestScoreTriple:
             heads = s.score_all_heads(1, 4)
             tails = s.score_all_tails(2, 0)
             for e in range(6):
-                assert heads[e] == pytest.approx(score_triple(s, e, 1, 4), abs=1e-12)
-                assert tails[e] == pytest.approx(score_triple(s, 2, 0, e), abs=1e-12)
+                assert heads[e] == pytest.approx(s.score(e, 1, 4), abs=1e-12)
+                assert tails[e] == pytest.approx(s.score(2, 0, e), abs=1e-12)
 
 
 class TestFilteredRank:

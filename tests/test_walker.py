@@ -9,13 +9,12 @@ from kglm.walker import (
     generate_corpus,
     next_step_distribution,
     read_corpus,
-    sample_next,
     sample_walk,
     transition_weight,
     write_corpus,
 )
 
-from conftest import random_graph
+from conftest import random_graph, step
 
 
 def analytic_oracle(graph, prev, cur, p, q):
@@ -219,7 +218,7 @@ class TestCorpus:
         n = 200_000
         hits = {}
         for _ in range(n):
-            _, nbr = sample_next(a, b, g, 4.0, 0.25, rng)
+            _, nbr = step(g, a, b, 4.0, 0.25, rng.random())
             hits[nbr] = hits.get(nbr, 0) + 1
         assert hits[a] / n == pytest.approx(0.25 / 4.25, abs=5e-3)
         assert hits[g.entities.id_of("c")] / n == pytest.approx(4.0 / 4.25, abs=5e-3)
