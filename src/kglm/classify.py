@@ -57,23 +57,22 @@ def triple_classification_eval(
     valid_neg=None,
     test_neg=None,
     known=None,
-    n_entities=None,
     seed=seeds.DEFAULT_SEED,
 ):
     """Fit per-relation thresholds on validation, classify test.
 
     Negatives may be passed explicitly; otherwise they are generated by
-    corrupting one side per positive with a seeded stream (requires
-    ``known`` and ``n_entities``).
+    corrupting one side per positive with a seeded stream, avoiding the
+    triples of the filter index ``known``.
     """
     valid_pos = np.asarray(valid_pos, dtype=np.int64)
     test_pos = np.asarray(test_pos, dtype=np.int64)
     if valid_neg is None:
         rng = seeds.derived_rng(seed, seeds.CLASSIFY_NEGATIVES, 0)
-        valid_neg = sample_negatives(valid_pos, n_entities, known, rng)
+        valid_neg = sample_negatives(valid_pos, known, rng)
     if test_neg is None:
         rng = seeds.derived_rng(seed, seeds.CLASSIFY_NEGATIVES, 1)
-        test_neg = sample_negatives(test_pos, n_entities, known, rng)
+        test_neg = sample_negatives(test_pos, known, rng)
     valid_neg = np.asarray(valid_neg, dtype=np.int64)
     test_neg = np.asarray(test_neg, dtype=np.int64)
 
@@ -81,42 +80,22 @@ def triple_classification_eval(
     vn_scores = _scores(scorer, valid_neg)
     global_thr, _ = best_threshold(vp_scores, vn_scores)
 
+    # a relation with validation rows on one side only keeps the global threshold
     thresholds = {}
-    for r in np.unique(np.concatenate([valid_pos[:, 1], valid_neg[:, 1]])):
-        pm = valid_pos[:, 1] == r
-        nm = valid_neg[:, 1] == r
-        if not pm.any() and not nm.any():
-            continue
-        if not pm.any() or not nm.any():
-            # one-sided relation: fall back to the global threshold
-            continue
-        thresholds[int(r)] = best_threshold(vp_scores[pm], vn_scores[nm])[0]
+    for r in np.intersect1d(valid_pos[:, 1], valid_neg[:, 1]).tolist():
+        thresholds[r] = best_threshold(vp_scores[valid_pos[:, 1] == r], vn_scores[valid_neg[:, 1] == r])[0]
 
     def _classify(pos, neg, pos_scores, neg_scores, fallback_log):
-        correct = 0
-        per_rel = {}
-        for (h, r, t), s in zip(pos, pos_scores):
-            thr = thresholds.get(int(r))
-            if thr is None:
-                fallback_log.add(int(r))
-                thr = global_thr
-            ok = s >= thr
-            correct += ok
-            stat = per_rel.setdefault(int(r), [0, 0])
-            stat[0] += ok
-            stat[1] += 1
-        for (h, r, t), s in zip(neg, neg_scores):
-            thr = thresholds.get(int(r))
-            if thr is None:
-                fallback_log.add(int(r))
-                thr = global_thr
-            ok = s < thr
-            correct += ok
-            stat = per_rel.setdefault(int(r), [0, 0])
-            stat[0] += ok
-            stat[1] += 1
-        n = len(pos) + len(neg)
-        return correct / n, {r: c / m for r, (c, m) in per_rel.items()}
+        rels, row_rel = np.unique(np.concatenate([pos[:, 1], neg[:, 1]]), return_inverse=True)
+        rels = rels.tolist()
+        fallback_log.update(r for r in rels if r not in thresholds)
+        thr = np.array([thresholds.get(r, global_thr) for r in rels])[row_rel]
+        scores = np.concatenate([pos_scores, neg_scores])
+        positive = np.arange(len(scores)) < len(pos)
+        # a NaN score is wrong on either side
+        ok = np.where(positive, scores >= thr, scores < thr)
+        per_rel = np.bincount(row_rel, weights=ok) / np.bincount(row_rel)
+        return np.count_nonzero(ok) / len(ok), dict(zip(rels, per_rel.tolist()))
 
     fallback = set()
     valid_acc, _ = _classify(valid_pos, valid_neg, vp_scores, vn_scores, fallback)

@@ -146,16 +146,15 @@ def _trained_scorer(rc, graph, split):
     else:
         # the random control takes the width of the exported table it replaces
         scorer = init_scorer_random(rc.scorer_kind, dim, graph.n_entities, graph.n_relations, rng)
-    known = split.filter_index.known_triples()
-    train_scorer(scorer, split.train, known, rc.scorer_config())
-    return scorer, known
+    train_scorer(scorer, split.train, split.filter_index, rc.scorer_config())
+    return scorer
 
 
 def cmd_eval_link(rc):
     rc.require("train", "valid", "test", "out")
     graph, split = _load_graph(rc)
-    scorer, _ = _trained_scorer(rc, graph, split)
-    result = link_prediction_eval(scorer, split.test, split.filter_index, graph.n_entities)
+    scorer = _trained_scorer(rc, graph, split)
+    result = link_prediction_eval(scorer, split.test, split.filter_index)
     paths = _paths(rc)
     write_metrics_report(result, paths["link_metrics"])
     write_ranks(result, split.test, paths["link_ranks"])
@@ -168,15 +167,8 @@ def cmd_eval_link(rc):
 def cmd_eval_triple(rc):
     rc.require("train", "valid", "test", "out")
     graph, split = _load_graph(rc)
-    scorer, known = _trained_scorer(rc, graph, split)
-    result = triple_classification_eval(
-        scorer,
-        split.valid,
-        split.test,
-        known=known,
-        n_entities=graph.n_entities,
-        seed=rc.seed,
-    )
+    scorer = _trained_scorer(rc, graph, split)
+    result = triple_classification_eval(scorer, split.valid, split.test, known=split.filter_index, seed=rc.seed)
     write_classification_report(result, _paths(rc)["classification"])
     print(f"valid accuracy {result.valid_accuracy:.4f}")
     print(f"test accuracy  {result.test_accuracy:.4f}")

@@ -1,5 +1,5 @@
-"""Knowledge graph loading, vocabularies, adjacency, and the filtered
-candidate index used for ranking.
+"""Knowledge graph loading, vocabularies, adjacency, and the index of
+known-true triples that filtered ranking and negative sampling read.
 
 Triples live in UTF-8 TSV files (``head<TAB>relation<TAB>tail``). Entity
 and relation ids are dense integers assigned in first-appearance order,
@@ -10,8 +10,7 @@ appended last to the relation vocabulary and never appears in a triple.
 """
 
 import logging
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,20 +129,6 @@ class KnowledgeGraph:
         return k < len(nbrs) and nbrs[k] == other_id
 
 
-def _dedupe(triples):
-    seen = set()
-    out = []
-    for t in triples:
-        if t in seen:
-            continue
-        seen.add(t)
-        out.append(t)
-    dropped = len(triples) - len(out)
-    if dropped:
-        logger.warning("dropped %d duplicate triples", dropped)
-    return out
-
-
 def _to_ids(surface_triples, entities, relations):
     return np.array(
         [(entities.id_of(h), relations.id_of(r), entities.id_of(t)) for h, r, t in surface_triples],
@@ -169,11 +154,13 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
     """
     if not triples:
         raise ValueError("cannot build a graph from an empty triple list")
-    triples = _dedupe(triples)
+    unique = list(dict.fromkeys(triples))
+    if len(unique) < len(triples):
+        logger.warning("dropped %d duplicate triples", len(triples) - len(unique))
 
     entities = Vocab()
     relations = Vocab()
-    for h, r, t in triples:
+    for h, r, t in unique:
         if r == EOS_SURFACE:
             raise ValueError(f"relation surface {EOS_SURFACE!r} is reserved")
         entities.add(h)
@@ -190,7 +177,7 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
             relations.add(inv)
     relations.add(EOS_SURFACE)
 
-    ids = _to_ids(triples, entities, relations)
+    ids = _to_ids(unique, entities, relations)
     n_ent = len(entities)
     h, r, t = ids.T
     if add_inverses:
@@ -217,30 +204,56 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterIndex:
-    """Known-true entity sets over train+valid+test, keyed per query side.
+    """The known-true triples of every split, as two sorted, unique int64
+    key arrays over ``E`` entities and ``R`` relations.
 
-    ``heads[(r, t)]`` holds every entity h with (h, r, t) known true;
-    ``tails[(h, r)]`` the symmetric tail sets.
+    ``hrt`` holds ``(h*R + r)*E + t``, so the tails of an ``(h, r)`` query
+    are one contiguous run of keys; ``rth`` holds ``(r*E + t)*E + h`` for
+    the heads of an ``(r, t)`` query. Both key ranges end below ``E*R*E``,
+    which :func:`build_filter_index` checks against the int64 range.
     """
 
-    heads: dict = field(default_factory=dict)
-    tails: dict = field(default_factory=dict)
+    n_entities: int
+    n_relations: int
+    hrt: np.ndarray
+    rth: np.ndarray
 
-    def known_triples(self):
-        return {(h, r, t) for (r, t), hs in self.heads.items() for h in hs}
+    def _run(self, keys, prefix):
+        base = prefix * self.n_entities
+        lo, hi = keys.searchsorted(base), keys.searchsorted(base + self.n_entities)
+        return keys[lo:hi] - base
+
+    def heads(self, r, t):
+        """Sorted ids h with (h, r, t) known."""
+        return self._run(self.rth, r * self.n_entities + t)
+
+    def tails(self, h, r):
+        """Sorted ids t with (h, r, t) known."""
+        return self._run(self.hrt, h * self.n_relations + r)
+
+    def _keys(self, triples):
+        h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+        return (h * self.n_relations + r) * self.n_entities + t
+
+    def contains(self, triples):
+        """Boolean mask over the (n, 3) id rows: which are known."""
+        return np.isin(self._keys(triples), self.hrt)
 
 
-def build_filter_index(*triple_arrays):
-    """Build the filtered-ranking index over any number of splits."""
-    heads = defaultdict(set)
-    tails = defaultdict(set)
-    for arr in triple_arrays:
-        for h, r, t in np.asarray(arr):
-            heads[(int(r), int(t))].add(int(h))
-            tails[(int(h), int(r))].add(int(t))
-    return FilterIndex(heads=dict(heads), tails=dict(tails))
+def build_filter_index(n_entities, n_relations, *splits):
+    """Index the triples of any number of (n, 3) id splits."""
+    if n_entities * n_relations * n_entities > np.iinfo(np.int64).max:
+        raise ValueError(f"{n_entities} entities x {n_relations} relations overflow the int64 triple keys")
+    rows = [np.asarray(s, dtype=np.int64).reshape(-1, 3) for s in splits]
+    h, r, t = np.concatenate([np.empty((0, 3), dtype=np.int64), *rows]).T
+    return FilterIndex(
+        n_entities=n_entities,
+        n_relations=n_relations,
+        hrt=np.unique((h * n_relations + r) * n_entities + t),
+        rth=np.unique((r * n_entities + t) * n_entities + h),
+    )
 
 
 @dataclass
@@ -253,15 +266,16 @@ class DatasetSplit:
     filter_index: FilterIndex
 
     def __post_init__(self):
-        owner = {}
-        for name, arr in (("train", self.train), ("valid", self.valid), ("test", self.test)):
-            rows = [tuple(row) for row in np.asarray(arr).tolist()]
-            shared = next((row for row in rows if row in owner), None)
-            if shared is not None:
-                raise ValueError(
-                    f"split {name} overlaps split {owner[shared]}: both hold the id triple {shared}"
-                )
-            owner.update(dict.fromkeys(rows, name))
+        names = ("train", "valid", "test")
+        arrays = (self.train, self.valid, self.test)
+        keys = [self.filter_index._keys(a) for a in arrays]
+        for i in (1, 2):
+            shared = np.flatnonzero(np.isin(keys[i], np.concatenate(keys[:i])))
+            if shared.size:
+                key = keys[i][shared[0]]
+                owner = next(n for n, k in zip(names, keys) if key in k)
+                row = tuple(np.asarray(arrays[i])[shared[0]].tolist())
+                raise ValueError(f"split {names[i]} overlaps split {owner}: both hold the id triple {row}")
 
 
 def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True):
@@ -280,13 +294,17 @@ def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True)
     graph = build_graph(
         train, add_inverses=add_inverses, extra_entities=[e for h, _, t in held_out for e in (h, t)]
     )
-    for _, r, _ in held_out:
-        if r not in graph.relations:
-            raise ValueError(f"relation {r!r} appears only outside the train split")
+    for name, rows in (("valid", valid), ("test", test)):
+        for _, r, _ in rows:
+            # an inverse or <eos> id is in the vocabulary but never a fact
+            if graph.relations.index.get(r, graph.n_base_relations) >= graph.n_base_relations:
+                raise ValueError(
+                    f"relation {r!r} of the {name} split is synthesized or appears only outside the train split"
+                )
 
     train_ids = graph.triples
     valid_ids = _to_ids(valid, graph.entities, graph.relations)
     test_ids = _to_ids(test, graph.entities, graph.relations)
-    fidx = build_filter_index(train_ids, valid_ids, test_ids)
+    fidx = build_filter_index(graph.n_entities, graph.n_relations, train_ids, valid_ids, test_ids)
     split = DatasetSplit(train=train_ids, valid=valid_ids, test=test_ids, filter_index=fidx)
     return graph, split

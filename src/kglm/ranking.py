@@ -15,22 +15,21 @@ import numpy as np
 from .files import atomic_open
 
 
-def filtered_rank(scorer, triple, side, filter_index, n_entities):
+def filtered_rank(scorer, triple, side, filter_index):
     """Pessimistic filtered rank of the true entity on one side."""
     h, r, t = (int(v) for v in triple)
     if side == "head":
         scores = scorer.score_all_heads(r, t)
         true_id = h
-        known = filter_index.heads.get((r, t), set())
+        known = filter_index.heads(r, t)
     elif side == "tail":
         scores = scorer.score_all_tails(h, r)
         true_id = t
-        known = filter_index.tails.get((h, r), set())
+        known = filter_index.tails(h, r)
     else:
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-    keep = np.ones(n_entities, dtype=bool)
-    if known:
-        keep[list(known)] = False
+    keep = np.ones(filter_index.n_entities, dtype=bool)
+    keep[known] = False
     keep[true_id] = False  # compared against the other candidates only
     # every candidate not strictly below the true score ranks ahead of it:
     # ties, and NaN on either side (a NaN true score gets the worst rank)
@@ -72,7 +71,7 @@ class RankingResult:
         return rows
 
 
-def link_prediction_eval(scorer, test_triples, filter_index, n_entities):
+def link_prediction_eval(scorer, test_triples, filter_index):
     """Rank every test triple on both sides."""
     test_triples = np.asarray(test_triples, dtype=np.int64)
     if len(test_triples) == 0:
@@ -80,8 +79,8 @@ def link_prediction_eval(scorer, test_triples, filter_index, n_entities):
     head_ranks = np.empty(len(test_triples), dtype=np.int64)
     tail_ranks = np.empty(len(test_triples), dtype=np.int64)
     for i, triple in enumerate(test_triples):
-        head_ranks[i] = filtered_rank(scorer, triple, "head", filter_index, n_entities)
-        tail_ranks[i] = filtered_rank(scorer, triple, "tail", filter_index, n_entities)
+        head_ranks[i] = filtered_rank(scorer, triple, "head", filter_index)
+        tail_ranks[i] = filtered_rank(scorer, triple, "tail", filter_index)
     return RankingResult(head_ranks=head_ranks, tail_ranks=tail_ranks)
 
 

@@ -125,21 +125,28 @@ class ScorerTrainConfig:
             raise ValueError("negatives must be >= 1")
 
 
-def sample_negatives(triples, n_entities, known, rng, max_tries=1000):
+def sample_negatives(triples, known, rng, max_rounds=1000):
     """One corruption per positive: replace head or tail (probability
-    0.5 each) with a uniform entity, rejecting known-true triples."""
-    negs = np.empty_like(triples)
-    for i, (h, r, t) in enumerate(triples):
-        for _ in range(max_tries):
-            corrupt_head = rng.random() < 0.5
-            e = int(rng.integers(n_entities))
-            cand = (e, int(r), int(t)) if corrupt_head else (int(h), int(r), e)
-            if cand not in known:
-                negs[i] = cand
-                break
-        else:
-            raise RuntimeError(f"could not corrupt triple ({h},{r},{t}); graph too dense")
-    return negs
+    0.5 each) with a uniform entity, rejecting known-true triples.
+
+    Every round corrupts all pending rows at once: it draws one side coin
+    per row, then one replacement entity per row, and the rows whose
+    candidate ``known`` (a :class:`~kglm.graph.FilterIndex`) contains
+    stay pending for the next round.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    negs = triples.copy()
+    pending = np.arange(len(triples))
+    for _ in range(max_rounds):
+        side = np.where(rng.random(len(pending)) < 0.5, 0, 2)
+        cand = triples[pending]
+        cand[np.arange(len(pending)), side] = rng.integers(known.n_entities, size=len(pending))
+        negs[pending] = cand
+        pending = pending[known.contains(cand)]
+        if not pending.size:
+            return negs
+    h, r, t = triples[pending[0]].tolist()
+    raise RuntimeError(f"could not corrupt triple ({h},{r},{t}); graph too dense")
 
 
 def _score_batch(scorer, triples):
@@ -175,10 +182,10 @@ def _sigmoid(x):
 
 
 def train_scorer(scorer, train_triples, known, cfg):
-    """Train in place; returns (scorer, per-epoch mean loss trace)."""
+    """Train in place against negatives that avoid every triple of the
+    filter index ``known``; returns (scorer, per-epoch mean loss trace)."""
     train_triples = np.asarray(train_triples, dtype=np.int64)
     n = len(train_triples)
-    n_entities = scorer.ent.shape[0]
     opt = Adam({"ent": scorer.ent, "rel": scorer.rel}, lr=cfg.lr)
 
     trace = []
@@ -188,7 +195,7 @@ def train_scorer(scorer, train_triples, known, cfg):
         order = shuffle_rng.permutation(n)
         # each positive is paired with `negatives` corruptions per epoch
         pos_rep = np.repeat(train_triples[order], cfg.negatives, axis=0)
-        negatives = sample_negatives(pos_rep, n_entities, known, neg_rng)
+        negatives = sample_negatives(pos_rep, known, neg_rng)
         total = 0.0
         bs = cfg.batch_size * cfg.negatives
         for start in range(0, len(pos_rep), bs):

@@ -104,7 +104,7 @@ def toy():
     train_ids = graph.triples
     valid_ids = to_ids(graph, valid)
     test_ids = to_ids(graph, test)
-    fidx = build_filter_index(train_ids, valid_ids, test_ids)
+    fidx = build_filter_index(graph.n_entities, graph.n_relations, train_ids, valid_ids, test_ids)
 
     chains = generate_corpus(graph, WalkConfig(walks_per_node=20, walk_length=21, seed=5))
     corpus_elapsed = time.monotonic() - t0
@@ -131,7 +131,6 @@ def toy():
         "valid": valid_ids,
         "test": test_ids,
         "filter_index": fidx,
-        "known": fidx.known_triples(),
         "chains": chains,
         "config": config,
         "params": params,

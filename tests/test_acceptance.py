@@ -98,7 +98,7 @@ class TestCriterion3RankingOracle:
             rng = np.random.default_rng(seed)
             n_entities = int(rng.integers(10, 51))
             g = build_graph(random_graph(seed, n_entities=n_entities, n_triples=3 * n_entities))
-            fidx = build_filter_index(g.triples)
+            fidx = build_filter_index(g.n_entities, g.n_relations, g.triples)
             kind = "bilinear" if seed % 2 == 0 else "translational"
             scorer = Scorer(
                 kind=kind,
@@ -107,8 +107,8 @@ class TestCriterion3RankingOracle:
             )
             for triple in g.triples:
                 for side in ("head", "tail"):
-                    got = filtered_rank(scorer, triple, side, fidx, g.n_entities)
-                    want = rank_oracle(scorer, triple, side, fidx, g.n_entities)
+                    got = filtered_rank(scorer, triple, side, fidx)
+                    want = rank_oracle(scorer, triple, side, g.triples, g.n_entities)
                     checked += 1
                     mismatches += got != want
         elapsed = time.monotonic() - t0
@@ -148,8 +148,8 @@ class TestCriterion5DropInImprovement:
                         "bilinear", toy["table"].dim, toy["graph"].n_entities, toy["graph"].n_relations, rng
                     )
                 cfg = ScorerTrainConfig(epochs=budget.epochs, lr=budget.lr, seed=s)
-                train_scorer(scorer, toy["train"], toy["known"], cfg)
-                res = link_prediction_eval(scorer, toy["valid"], toy["filter_index"], toy["graph"].n_entities)
+                train_scorer(scorer, toy["train"], toy["filter_index"], cfg)
+                res = link_prediction_eval(scorer, toy["valid"], toy["filter_index"])
                 vals.append(res.metrics("avg")["mrr"])
             means[mode] = float(np.mean(vals))
         ratio = means["dolores"] / means["random"]

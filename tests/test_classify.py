@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kglm.classify import best_threshold, triple_classification_eval
+from kglm.classify import ClassificationResult, best_threshold, triple_classification_eval
+from kglm.graph import build_filter_index
 
 
 class FixedScorer:
@@ -120,13 +121,73 @@ class TestTripleClassification:
 
     def test_generated_negatives_are_seeded(self):
         rng_triples = self._triples([0, 1, 0, 1])
-        known = {tuple(map(int, t)) for t in rng_triples}
+        known = build_filter_index(40, 2, rng_triples)
         scorer = FixedScorer({}, default=0.0)
-        r1 = triple_classification_eval(
-            scorer, rng_triples, rng_triples, known=known, n_entities=40, seed=9
-        )
-        r2 = triple_classification_eval(
-            scorer, rng_triples, rng_triples, known=known, n_entities=40, seed=9
-        )
+        r1 = triple_classification_eval(scorer, rng_triples, rng_triples, known=known, seed=9)
+        r2 = triple_classification_eval(scorer, rng_triples, rng_triples, known=known, seed=9)
         assert r1.valid_accuracy == r2.valid_accuracy
         assert r1.thresholds == r2.thresholds
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def triples(n):
+            return np.column_stack([rng.integers(50, size=n), rng.integers(6, size=n), rng.integers(50, size=n)])
+
+        # relation 5 shows up only in test; a few test scores are NaN
+        valid_pos, valid_neg = triples(30), triples(int(rng.integers(1, 30)))
+        valid_pos[:, 1] %= 5
+        valid_neg[:, 1] %= 5
+        test_pos, test_neg = triples(25), triples(20)
+        scores = {}
+        for rows, loc in ((valid_pos, 0.5), (valid_neg, -0.5), (test_pos, 0.5), (test_neg, -0.5)):
+            for row in map(tuple, rows.tolist()):
+                scores.setdefault(row, float(rng.normal(loc)))
+        for row in map(tuple, np.vstack([test_pos[:2], test_neg[:2]]).tolist()):
+            scores[row] = float("nan")
+        scorer = FixedScorer(scores)
+        res = triple_classification_eval(scorer, valid_pos, test_pos, valid_neg=valid_neg, test_neg=test_neg)
+        ref = loop_reference(scorer, valid_pos, test_pos, valid_neg, test_neg)
+        assert res == ref
+
+
+def loop_reference(scorer, valid_pos, test_pos, valid_neg, test_neg):
+    """Thresholds fitted and rows classified one relation and one row at
+    a time."""
+
+    def score(rows):
+        return [scorer.score(h, r, t) for h, r, t in rows.tolist()]
+
+    vp, vn = score(valid_pos), score(valid_neg)
+    global_thr, _ = best_threshold(vp, vn)
+    thresholds = {}
+    for r in sorted(set(valid_pos[:, 1].tolist()) & set(valid_neg[:, 1].tolist())):
+        thresholds[r] = best_threshold(
+            [s for s, rr in zip(vp, valid_pos[:, 1]) if rr == r], [s for s, rr in zip(vn, valid_neg[:, 1]) if rr == r]
+        )[0]
+    fallback = set()
+
+    def classify(pos, neg):
+        stats = {}
+        for rows, positive in ((pos, True), (neg, False)):
+            for (h, r, t), s in zip(rows.tolist(), score(rows)):
+                if r not in thresholds:
+                    fallback.add(r)
+                thr = thresholds.get(r, global_thr)
+                stat = stats.setdefault(r, [0, 0])
+                stat[0] += (s >= thr) if positive else (s < thr)
+                stat[1] += 1
+        correct = sum(c for c, _ in stats.values())
+        return correct / (len(pos) + len(neg)), {r: c / m for r, (c, m) in stats.items()}
+
+    valid_acc, _ = classify(valid_pos, valid_neg)
+    test_acc, per_rel = classify(test_pos, test_neg)
+    return ClassificationResult(
+        valid_accuracy=valid_acc,
+        test_accuracy=test_acc,
+        per_relation_test=per_rel,
+        thresholds=thresholds,
+        global_threshold=global_thr,
+        fallback_relations=sorted(fallback),
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -202,41 +203,72 @@ class TestBuildGraph:
             assert np.array_equal(got, ref[name]), name
 
 
+def naive_answers(triples, h=None, r=None, t=None):
+    """Sorted answers of one query by a scan: the heads of (r, t) when
+    ``h`` is None, else the tails of (h, r)."""
+    rows = np.asarray(triples).reshape(-1, 3).tolist()
+    if h is None:
+        return sorted({hh for hh, rr, tt in rows if rr == r and tt == t})
+    return sorted({tt for hh, rr, tt in rows if hh == h and rr == r})
+
+
 class TestFilterIndex:
     def test_single_triple_keeps_target(self):
         g = build_graph([("a", "r", "b"), ("b", "r", "c")])  # entities a,b,c
         ids = to_ids(g, [("a", "r", "b")])
-        fidx = build_filter_index(ids)
+        fidx = build_filter_index(g.n_entities, g.n_relations, ids)
         a, b = g.entities.id_of("a"), g.entities.id_of("b")
         r = g.relations.id_of("r")
         # query (?, r, b), target a: only a itself is known-true
-        assert fidx.heads[(r, b)] == {a}
+        assert fidx.heads(r, b).tolist() == [a]
 
     def test_other_true_heads_filtered(self):
         g = build_graph([("a", "r", "b"), ("c", "r", "b")])
-        fidx = build_filter_index(g.triples)
+        fidx = build_filter_index(g.n_entities, g.n_relations, g.triples)
         a, b, c = (g.entities.id_of(x) for x in "abc")
         r = g.relations.id_of("r")
-        assert fidx.heads[(r, b)] == {a, c}
+        assert fidx.heads(r, b).tolist() == sorted([a, c])
 
     def test_brute_force_oracle_random_kg(self):
-        surfaces = random_graph(7, n_entities=50, n_triples=200)
-        g = build_graph(surfaces)
-        ids = g.triples
-        fidx = build_filter_index(ids)
-        # oracle: naive scan over all triples
-        for h, r, t in ids[:50]:
-            heads = {hh for hh, rr, tt in ids if rr == r and tt == t}
-            tails = {tt for hh, rr, tt in ids if hh == h and rr == r}
-            assert fidx.heads[(int(r), int(t))] == heads
-            assert fidx.tails[(int(h), int(r))] == tails
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n_ent, n_rel = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+            # three splits with repeated rows, and rows at the largest ids E-1 and R-1
+            splits = [rng.integers((n_ent, n_rel, n_ent), size=(int(rng.integers(0, 40)), 3)) for _ in range(3)]
+            splits[0] = np.vstack([splits[0], [(n_ent - 1, n_rel - 1, n_ent - 1), (0, n_rel - 1, n_ent - 1)]])
+            known = np.vstack(splits)
+            fidx = build_filter_index(n_ent, n_rel, *splits)
+            rows = set(map(tuple, known.tolist()))
+            assert np.all(np.diff(fidx.hrt) > 0) and np.all(np.diff(fidx.rth) > 0)
+            assert len(fidx.hrt) == len(fidx.rth) == len(rows)
+            # every query, with and without known answers
+            for a in range(n_ent):
+                for r in range(n_rel):
+                    assert fidx.tails(a, r).tolist() == naive_answers(known, h=a, r=r)
+                    assert fidx.heads(r, a).tolist() == naive_answers(known, r=r, t=a)
+            every = np.array([(h, r, t) for h in range(n_ent) for r in range(n_rel) for t in range(n_ent)])
+            np.testing.assert_array_equal(fidx.contains(every), [tuple(row) in rows for row in every.tolist()])
+
+    def test_empty_index(self):
+        for fidx in (build_filter_index(4, 2), build_filter_index(4, 2, np.empty((0, 3), dtype=np.int64))):
+            assert len(fidx.heads(1, 3)) == len(fidx.tails(3, 1)) == 0
+            assert fidx.contains([(0, 0, 0), (3, 1, 3)]).tolist() == [False, False]
+            assert fidx.contains(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+
+    def test_key_overflow_rejected(self):
+        corner = np.array([[2**21 - 1, 2**20 - 1, 2**21 - 1]])
+        fidx = build_filter_index(2**21, 2**20, corner)  # the largest key is 2**62 - 1
+        assert fidx.contains(corner).all() and fidx.tails(2**21 - 1, 2**20 - 1).tolist() == [2**21 - 1]
+        with pytest.raises(ValueError, match="overflow"):
+            build_filter_index(2**21, 2**21)
 
     def test_own_entities_always_present(self):
         g = build_graph(random_graph(9))
-        fidx = build_filter_index(g.triples)
+        fidx = build_filter_index(g.n_entities, g.n_relations, g.triples)
+        assert fidx.contains(g.triples).all()
         for h, r, t in g.triples:
-            assert int(h) in fidx.heads[(int(r), int(t))]
-            assert int(t) in fidx.tails[(int(h), int(r))]
+            assert int(h) in fidx.heads(int(r), int(t))
+            assert int(t) in fidx.tails(int(h), int(r))
 
 
 class TestDataset:
@@ -244,14 +276,14 @@ class TestDataset:
         tri = np.array([[0, 0, 1]], dtype=np.int64)
         with pytest.raises(ValueError, match="overlap"):
             DatasetSplit(train=tri, valid=tri, test=np.empty((0, 3), dtype=np.int64),
-                         filter_index=build_filter_index(tri))
+                         filter_index=build_filter_index(2, 1, tri))
 
     def test_overlap_names_both_splits_and_the_triple(self):
         train = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
         test = np.array([[2, 0, 0], [1, 0, 2], [0, 0, 1]], dtype=np.int64)
         with pytest.raises(ValueError, match=r"split test overlaps split train: .*\(1, 0, 2\)"):
             DatasetSplit(train=train, valid=np.empty((0, 3), dtype=np.int64), test=test,
-                         filter_index=build_filter_index(train, test))
+                         filter_index=build_filter_index(3, 1, train, test))
 
     def test_load_dataset_vocab_covers_all_splits(self, tmp_path):
         graph, split = load_dataset(*three_splits(tmp_path))
@@ -262,7 +294,7 @@ class TestDataset:
         # filter index covers all three splits
         r = graph.relations.id_of("r")
         a, c = graph.entities.id_of("a"), graph.entities.id_of("c")
-        assert a in split.filter_index.tails[(a, r)] or c in split.filter_index.tails[(a, r)]
+        assert c in split.filter_index.tails(a, r)
 
     def test_loaded_graph_is_frozen(self, tmp_path):
         graph, _ = load_dataset(*three_splits(tmp_path))
@@ -294,3 +326,12 @@ class TestDataset:
         (tmp_path / "test.tsv").write_text("a\ts\tb\n", encoding="utf-8")
         with pytest.raises(ValueError, match="outside the train split"):
             load_dataset(str(tmp_path / "train.tsv"), None, str(tmp_path / "test.tsv"))
+
+    @pytest.mark.parametrize("name", ["valid", "test"])
+    @pytest.mark.parametrize("relation", ["r" + INVERSE_SUFFIX, EOS_SURFACE])
+    def test_synthesized_relation_outside_train_rejected(self, tmp_path, name, relation):
+        train = _write(tmp_path, "train.tsv", "a\tr\tb\nb\tr\tc\n")
+        held_out = _write(tmp_path, f"{name}.tsv", f"c\t{relation}\tb\n")
+        paths = (train, held_out, None) if name == "valid" else (train, None, held_out)
+        with pytest.raises(ValueError, match=rf"{re.escape(relation)}.*{name} split"):
+            load_dataset(*paths)

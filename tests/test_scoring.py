@@ -25,17 +25,19 @@ from kglm.scoring import (
 from conftest import random_graph
 
 
-def rank_oracle(scorer, triple, side, fidx, n_entities):
+def rank_oracle(scorer, triple, side, known_triples, n_entities):
     """Full-sort oracle: score every filtered candidate one by one,
-    order by descending score with the target last among equals."""
+    order by descending score with the target last among equals. The
+    known answers come from a naive scan of ``known_triples``."""
     h, r, t = (int(v) for v in triple)
+    rows = np.asarray(known_triples).tolist()
     if side == "head":
-        known = fidx.heads.get((r, t), set())
+        known = {hh for hh, rr, tt in rows if rr == r and tt == t}
         target = h
         cands = [e for e in range(n_entities) if e == target or e not in known]
         scored = [(scorer.score(e, r, t), e) for e in cands]
     else:
-        known = fidx.tails.get((h, r), set())
+        known = {tt for hh, rr, tt in rows if hh == h and rr == r}
         target = t
         cands = [e for e in range(n_entities) if e == target or e not in known]
         scored = [(scorer.score(h, r, e), e) for e in cands]
@@ -90,7 +92,7 @@ class TestScoreTriple:
 class TestFilteredRank:
     def _setup(self, seed=0, n_entities=20):
         g = build_graph(random_graph(seed, n_entities=n_entities, n_triples=60))
-        fidx = build_filter_index(g.triples)
+        fidx = build_filter_index(g.n_entities, g.n_relations, g.triples)
         rng = np.random.default_rng(seed)
         scorer = Scorer(
             kind="bilinear",
@@ -106,7 +108,7 @@ class TestFilteredRank:
         scorer.rel[r] = np.abs(scorer.rel[r]) + 1.0
         scorer.ent[t] = np.abs(scorer.ent[t]) + 1.0
         scorer.ent[h] = 100.0 * scorer.rel[r] * scorer.ent[t]
-        assert filtered_rank(scorer, (h, r, t), "head", fidx, g.n_entities) == 1
+        assert filtered_rank(scorer, (h, r, t), "head", fidx) == 1
 
     def test_all_ties_rank_is_candidate_count(self):
         g, fidx, _ = self._setup()
@@ -116,14 +118,13 @@ class TestFilteredRank:
             rel=np.zeros((g.n_relations, 3)),
         )
         h, r, t = (int(v) for v in g.triples[0])
-        known = fidx.heads[(r, t)]
-        n_cands = g.n_entities - len(known) + 1
-        assert filtered_rank(scorer, (h, r, t), "head", fidx, g.n_entities) == n_cands
+        n_cands = g.n_entities - len(fidx.heads(r, t)) + 1
+        assert filtered_rank(scorer, (h, r, t), "head", fidx) == n_cands
 
     def test_nan_scores_never_improve_the_rank(self):
         g, fidx, scorer = self._setup()
         h, r, t = (int(v) for v in g.triples[0])
-        n_cands = g.n_entities - len(fidx.heads[(r, t)]) + 1
+        n_cands = g.n_entities - len(fidx.heads(r, t)) + 1
 
         class FixedHeads:
             def __init__(self, scores):
@@ -133,7 +134,7 @@ class TestFilteredRank:
                 return self.scores
 
         def rank(scores):
-            return filtered_rank(FixedHeads(scores), (h, r, t), "head", fidx, g.n_entities)
+            return filtered_rank(FixedHeads(scores), (h, r, t), "head", fidx)
 
         # an all-NaN scorer, or a NaN true score alone: the true entity ranks last
         assert rank(np.full(g.n_entities, np.nan)) == n_cands
@@ -141,7 +142,7 @@ class TestFilteredRank:
         assert rank(np.where(np.arange(g.n_entities) == h, np.nan, scores)) == n_cands
         # a NaN candidate counts as ranked ahead, whether it scored below or above
         base = rank(scores)
-        candidates = [e for e in range(g.n_entities) if e != h and e not in fidx.heads[(r, t)]]
+        candidates = [e for e in range(g.n_entities) if e != h and e not in fidx.heads(r, t)]
         below = [e for e in candidates if scores[e] < scores[h]]
         above = [e for e in candidates if scores[e] >= scores[h]]
         assert below and above, "the seeded scorer should rank candidates on both sides"
@@ -155,8 +156,8 @@ class TestFilteredRank:
             g, fidx, scorer = self._setup(seed=seed, n_entities=30)
             for triple in g.triples[:25]:
                 for side in ("head", "tail"):
-                    got = filtered_rank(scorer, triple, side, fidx, g.n_entities)
-                    want = rank_oracle(scorer, triple, side, fidx, g.n_entities)
+                    got = filtered_rank(scorer, triple, side, fidx)
+                    want = rank_oracle(scorer, triple, side, g.triples, g.n_entities)
                     assert got == want
 
 
@@ -174,10 +175,8 @@ class TestRankingMetrics:
 
     def test_empty_test_split_rejected(self):
         s = Scorer(kind="bilinear", ent=np.ones((2, 2)), rel=np.ones((1, 2)))
-        from kglm.graph import FilterIndex
-
         with pytest.raises(ValueError, match="empty"):
-            link_prediction_eval(s, np.empty((0, 3), dtype=np.int64), FilterIndex(), 2)
+            link_prediction_eval(s, np.empty((0, 3), dtype=np.int64), build_filter_index(2, 1))
 
     @given(
         st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=60),
@@ -199,7 +198,7 @@ class TestRankingMetrics:
     @settings(max_examples=25, deadline=None)
     def test_monotone_invariance(self, a, b):
         g = build_graph(random_graph(2, n_entities=15, n_triples=40))
-        fidx = build_filter_index(g.triples)
+        fidx = build_filter_index(g.n_entities, g.n_relations, g.triples)
         rng = np.random.default_rng(2)
         base = Scorer(
             kind="bilinear",
@@ -216,9 +215,7 @@ class TestRankingMetrics:
 
         for triple in g.triples[:10]:
             for side in ("head", "tail"):
-                assert filtered_rank(base, triple, side, fidx, g.n_entities) == filtered_rank(
-                    Affine(), triple, side, fidx, g.n_entities
-                )
+                assert filtered_rank(base, triple, side, fidx) == filtered_rank(Affine(), triple, side, fidx)
 
 
 class TestBreakdown:
@@ -259,7 +256,7 @@ class TestBreakdown:
 class TestScorerTraining:
     def _toy(self, seed=0):
         g = build_graph(random_graph(seed, n_entities=25, n_triples=80))
-        fidx = build_filter_index(g.triples)
+        fidx = build_filter_index(g.n_entities, g.n_relations, g.triples)
         return g, fidx
 
     def test_margin_must_be_positive(self):
@@ -272,10 +269,9 @@ class TestScorerTraining:
 
     def test_multiple_negatives_per_positive(self):
         g, fidx = self._toy(seed=7)
-        known = fidx.known_triples()
         rng = seeds.derived_rng(4, seeds.SCORER_INIT, 0)
         s = init_scorer_random("bilinear", 8, g.n_entities, g.n_relations, rng)
-        _, trace = train_scorer(s, g.triples, known, ScorerTrainConfig(epochs=4, negatives=3, seed=4))
+        _, trace = train_scorer(s, g.triples, fidx, ScorerTrainConfig(epochs=4, negatives=3, seed=4))
         assert len(trace) == 4 and np.isfinite(trace).all()
 
     def test_zero_epochs_keeps_init(self):
@@ -283,41 +279,53 @@ class TestScorerTraining:
         rng = seeds.derived_rng(0, seeds.SCORER_INIT, 0)
         s = init_scorer_random("bilinear", 8, g.n_entities, g.n_relations, rng)
         ent0, rel0 = s.ent.copy(), s.rel.copy()
-        train_scorer(s, g.triples, fidx.known_triples(), ScorerTrainConfig(epochs=0, seed=0))
+        train_scorer(s, g.triples, fidx, ScorerTrainConfig(epochs=0, seed=0))
         np.testing.assert_array_equal(s.ent, ent0)
         np.testing.assert_array_equal(s.rel, rel0)
 
     def test_same_seed_same_result(self):
         g, fidx = self._toy()
-        known = fidx.known_triples()
         outs = []
         for _ in range(2):
             rng = seeds.derived_rng(1, seeds.SCORER_INIT, 0)
             s = init_scorer_random("translational", 8, g.n_entities, g.n_relations, rng)
-            train_scorer(s, g.triples, known, ScorerTrainConfig(epochs=3, seed=1))
+            train_scorer(s, g.triples, fidx, ScorerTrainConfig(epochs=3, seed=1))
             outs.append((s.ent.copy(), s.rel.copy()))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
 
     def test_training_reduces_loss(self):
         g, fidx = self._toy(seed=5)
-        known = fidx.known_triples()
         rng = seeds.derived_rng(2, seeds.SCORER_INIT, 0)
         s = init_scorer_random("bilinear", 16, g.n_entities, g.n_relations, rng)
-        _, trace = train_scorer(s, g.triples, known, ScorerTrainConfig(epochs=60, lr=0.02, seed=2))
+        _, trace = train_scorer(s, g.triples, fidx, ScorerTrainConfig(epochs=60, lr=0.02, seed=2))
         assert trace[-1] < 0.5 * trace[0]
 
     def test_negative_sampling_rejects_known(self):
-        g, fidx = self._toy()
-        known = fidx.known_triples()
-        rng = np.random.default_rng(0)
-        negs = sample_negatives(g.triples, g.n_entities, known, rng)
-        for i, neg in enumerate(negs):
-            assert tuple(int(v) for v in neg) not in known
-            pos = g.triples[i]
+        for seed in range(5):
+            g, fidx = self._toy(seed=seed)
+            pos = np.repeat(g.triples, 4, axis=0)
+            negs = sample_negatives(pos, fidx, np.random.default_rng(seed))
+            rows = {tuple(int(v) for v in row) for row in g.triples}
+            assert not any(tuple(int(v) for v in neg) in rows for neg in negs)
             # exactly one side corrupted, relation untouched
-            assert neg[1] == pos[1]
-            assert (neg[0] == pos[0]) != (neg[2] == pos[2]) or neg[0] != pos[0] or neg[2] != pos[2]
+            np.testing.assert_array_equal(negs[:, 1], pos[:, 1])
+            assert np.all((negs[:, 0] != pos[:, 0]).astype(int) + (negs[:, 2] != pos[:, 2]) == 1)
+
+    def test_negative_sampling_is_seeded(self):
+        g, fidx = self._toy(seed=3)
+        a = sample_negatives(g.triples, fidx, np.random.default_rng(11))
+        b = sample_negatives(g.triples, fidx, np.random.default_rng(11))
+        c = sample_negatives(g.triples, fidx, np.random.default_rng(12))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_negative_sampling_fails_when_every_corruption_is_known(self):
+        # every (h, r, t) over two entities and one relation is known
+        full = np.array([(h, 0, t) for h in range(2) for t in range(2)], dtype=np.int64)
+        fidx = build_filter_index(2, 1, full)
+        with pytest.raises(RuntimeError, match=r"could not corrupt triple \(0,0,0\)"):
+            sample_negatives(full, fidx, np.random.default_rng(0))
 
 
 class TestInitModes:
