@@ -46,10 +46,6 @@ class ClassificationResult:
     fallback_relations: list = field(default_factory=list)
 
 
-def _scores(scorer, triples):
-    return np.array([scorer.score(int(h), int(r), int(t)) for h, r, t in triples])
-
-
 def triple_classification_eval(
     scorer,
     valid_pos,
@@ -76,8 +72,8 @@ def triple_classification_eval(
     valid_neg = np.asarray(valid_neg, dtype=np.int64)
     test_neg = np.asarray(test_neg, dtype=np.int64)
 
-    vp_scores = _scores(scorer, valid_pos)
-    vn_scores = _scores(scorer, valid_neg)
+    vp_scores = scorer.score_batch(valid_pos)
+    vn_scores = scorer.score_batch(valid_neg)
     global_thr, _ = best_threshold(vp_scores, vn_scores)
 
     # a relation with validation rows on one side only keeps the global threshold
@@ -99,8 +95,8 @@ def triple_classification_eval(
 
     fallback = set()
     valid_acc, _ = _classify(valid_pos, valid_neg, vp_scores, vn_scores, fallback)
-    tp_scores = _scores(scorer, test_pos)
-    tn_scores = _scores(scorer, test_neg)
+    tp_scores = scorer.score_batch(test_pos)
+    tn_scores = scorer.score_batch(test_neg)
     test_acc, per_rel = _classify(test_pos, test_neg, tp_scores, tn_scores, fallback)
     if fallback:
         logger.warning(

@@ -136,11 +136,29 @@ def _to_ids(surface_triples, entities, relations):
     ).reshape(-1, 3)
 
 
+def check_ids(triples, n_entities, n_relations, what):
+    """Raise ValueError, naming the first row, if an (n, 3) id row of
+    ``what`` has an id outside [0, n_entities) or [0, n_relations)."""
+    bad = (triples < 0).any(axis=1) | (triples[:, [0, 2]] >= n_entities).any(axis=1) | (triples[:, 1] >= n_relations)
+    if bad.any():
+        row = tuple(triples[np.argmax(bad)].tolist())
+        raise ValueError(f"{what} {row} is outside {n_entities} entities x {n_relations} relations")
+
+
 def _offsets(rows, n):
     """CSR offsets (n + 1,) of the rows whose ids ``rows`` lists, in [0, n)."""
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=off[1:])
     return off
+
+
+def _drop_duplicates(triples):
+    """The surface triples in first-appearance order, each once; a
+    repeated line is dropped with a logged count."""
+    unique = list(dict.fromkeys(triples))
+    if len(unique) < len(triples):
+        logger.warning("dropped %d duplicate triples", len(triples) - len(unique))
+    return unique
 
 
 def build_graph(triples, add_inverses=True, extra_entities=()):
@@ -154,9 +172,7 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
     """
     if not triples:
         raise ValueError("cannot build a graph from an empty triple list")
-    unique = list(dict.fromkeys(triples))
-    if len(unique) < len(triples):
-        logger.warning("dropped %d duplicate triples", len(triples) - len(unique))
+    unique = _drop_duplicates(triples)
 
     entities = Vocab()
     relations = Vocab()
@@ -233,6 +249,31 @@ class FilterIndex:
         """Sorted ids t with (h, r, t) known."""
         return self._run(self.hrt, h * self.n_relations + r)
 
+    def known_answers(self, side, triples):
+        """The known answers of a block of queries, as (row, entity) cells.
+
+        ``side`` is ``"head"`` or ``"tail"``: row i of the (n, 3) id rows
+        ``triples`` asks for the heads of its ``(r, t)`` or the tails of
+        its ``(h, r)``. Returns two equal-length int64 arrays, the row and
+        the answer id of each known triple matching a row's query, the
+        row's own triple included when it is known.
+        """
+        h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+        if side == "head":
+            keys, prefix = self.rth, r * self.n_entities + t
+        elif side == "tail":
+            keys, prefix = self.hrt, h * self.n_relations + r
+        else:
+            raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
+        base = prefix * self.n_entities
+        lo = keys.searchsorted(base)
+        counts = keys.searchsorted(base + self.n_entities) - lo
+        rows = np.repeat(np.arange(len(base)), counts)
+        # the n-th cell of row i reads key lo[i] + n
+        first = np.cumsum(counts) - counts
+        pos = np.arange(len(rows)) + np.repeat(lo - first, counts)
+        return rows, keys[pos] - base[rows]
+
     def _keys(self, triples):
         h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
         return (h * self.n_relations + r) * self.n_entities + t
@@ -284,11 +325,12 @@ def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True)
     The vocabulary covers every split so evaluation triples always have
     ids, but the graph's stored triples and adjacency come from the
     train split alone: walks and scorer training must not see held-out
-    edges. Entities first seen in valid or test are isolated.
+    edges. Entities first seen in valid or test are isolated. Every
+    split keeps one row per distinct triple.
     """
     train = load_triples(train_path)
-    valid = load_triples(valid_path) if valid_path else []
-    test = load_triples(test_path) if test_path else []
+    valid = _drop_duplicates(load_triples(valid_path)) if valid_path else []
+    test = _drop_duplicates(load_triples(test_path)) if test_path else []
 
     held_out = valid + test
     graph = build_graph(

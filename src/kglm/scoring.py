@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
+from .graph import check_ids
 from .optim import Adam
 
 logger = logging.getLogger(__name__)
@@ -47,6 +48,12 @@ class Scorer:
         if self.kind == "translational":
             return -float(np.linalg.norm(self.ent[h] + self.rel[r] - self.ent[t]))
         return float(np.dot(self.ent[h] * self.rel[r], self.ent[t]))
+
+    def score_batch(self, triples):
+        """Scores of the (n, 3) id rows, one batched pass."""
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        check_ids(triples, self.ent.shape[0], self.rel.shape[0], "triple")
+        return _score_batch(self, triples)[0]
 
     def score_all_heads(self, r, t):
         """Scores of (e, r, t) for every entity e."""

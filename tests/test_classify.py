@@ -15,6 +15,9 @@ class FixedScorer:
     def score(self, h, r, t):
         return self.table.get((h, r, t), self.default)
 
+    def score_batch(self, triples):
+        return np.array([self.score(h, r, t) for h, r, t in np.asarray(triples).tolist()], dtype=np.float64)
+
 
 def brute_force_best_accuracy(pos, neg):
     """Independent threshold search: try every observed score plus one

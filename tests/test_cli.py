@@ -17,6 +17,15 @@ def tiny_dataset(tmp_path_factory):
     return write_split_files(str(root), triples, seed=1)
 
 
+def refuse(name):
+    """A stand-in for ``name`` that fails the stage calling it."""
+
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"the stage called {name}")
+
+    return fail
+
+
 def tiny_flags(paths, out, extra=()):
     train, valid, test = paths
     return [
@@ -186,18 +195,25 @@ class TestDispatch:
         for sub in ("walk", "train", "export"):
             assert main([sub, *flags]) == 0
 
-        def refuse(name):
-            def fail(*args, **kwargs):
-                raise RuntimeError(f"eval called {name}: it must start from the exported .vec files")
-
-            return fail
-
         # eval reads only the exported vectors, so neither mode pools the
         # corpus (the random control never did) or reloads the model
         for name in ("aggregate_static", "read_corpus", "load_checkpoint"):
             monkeypatch.setattr(f"kglm.cli.{name}", refuse(name))
         for sub in ("eval-link", "eval-triple"):
             assert main([sub, *flags]) == 0, sub
+
+    @pytest.mark.parametrize("kind", ["translational", "bilinear"])
+    def test_eval_link_ranks_in_blocks(self, tiny_dataset, tmp_path, monkeypatch, kind):
+        out = str(tmp_path / "run")
+        flags = tiny_flags(tiny_dataset, out, extra=["--scorer-kind", kind])
+        for sub in ("walk", "train", "export"):
+            assert main([sub, *flags]) == 0
+        # the per-query path is the test oracle only
+        monkeypatch.setattr("kglm.ranking.filtered_rank", refuse("filtered_rank"))
+        for name in ("score_all_heads", "score_all_tails"):
+            monkeypatch.setattr(f"kglm.scoring.Scorer.{name}", refuse(name))
+        assert main(["eval-link", *flags]) == 0
+        assert os.path.exists(os.path.join(out, "link_ranks.tsv"))
 
     def test_eval_before_export_names_missing_file(self, tiny_dataset, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -249,6 +249,23 @@ class TestFilterIndex:
             every = np.array([(h, r, t) for h in range(n_ent) for r in range(n_rel) for t in range(n_ent)])
             np.testing.assert_array_equal(fidx.contains(every), [tuple(row) in rows for row in every.tolist()])
 
+    def test_known_answers_are_the_query_runs(self):
+        rng = np.random.default_rng(4)
+        n_ent, n_rel = 9, 3
+        splits = [rng.integers((n_ent, n_rel, n_ent), size=(30, 3)) for _ in range(3)]
+        fidx = build_filter_index(n_ent, n_rel, *splits)
+        # known and unknown queries, repeated rows, the largest ids
+        queries = np.vstack([splits[2], rng.integers((n_ent, n_rel, n_ent), size=(20, 3)), splits[2][:3]])
+        queries = np.vstack([queries, [(n_ent - 1, n_rel - 1, n_ent - 1)]])
+        for side in ("head", "tail"):
+            rows, ids = fidx.known_answers(side, queries)
+            assert np.all(np.diff(rows) >= 0)
+            for i, (h, r, t) in enumerate(queries.tolist()):
+                want = fidx.heads(r, t) if side == "head" else fidx.tails(h, r)
+                assert ids[rows == i].tolist() == want.tolist()
+        with pytest.raises(ValueError, match="side"):
+            fidx.known_answers("relation", queries)
+
     def test_empty_index(self):
         for fidx in (build_filter_index(4, 2), build_filter_index(4, 2, np.empty((0, 3), dtype=np.int64))):
             assert len(fidx.heads(1, 3)) == len(fidx.tails(3, 1)) == 0
@@ -320,6 +337,18 @@ class TestDataset:
         lines = (out / "stats.txt").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "entities\t4"
         assert lines[-1] == "isolated_entities\t1"
+
+    def test_repeated_held_out_rows_dropped_with_warning(self, tmp_path, caplog):
+        train = _write(tmp_path, "train.tsv", "a\tr\tb\nb\tr\tc\n")
+        valid = _write(tmp_path, "valid.tsv", "a\tr\tc\nc\tr\tb\na\tr\tc\n")
+        test = _write(tmp_path, "test.tsv", "c\tr\ta\nc\tr\ta\n")
+        with caplog.at_level("WARNING"):
+            graph, split = load_dataset(train, valid, test)
+        a, b, c = (graph.entities.id_of(x) for x in "abc")
+        r = graph.relations.id_of("r")
+        assert split.valid.tolist() == [[a, r, c], [c, r, b]]
+        assert split.test.tolist() == [[c, r, a]]
+        assert [rec.message for rec in caplog.records] == ["dropped 1 duplicate triples"] * 2
 
     def test_unknown_relation_outside_train_rejected(self, tmp_path):
         (tmp_path / "train.tsv").write_text("a\tr\tb\n", encoding="utf-8")

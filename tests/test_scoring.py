@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kglm import seeds
+from kglm import ranking, seeds
 from kglm.extract import aggregate_static
 from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig, init_params
@@ -14,6 +14,7 @@ from kglm.ranking import (
     rank_breakdown_by_category,
 )
 from kglm.scoring import (
+    SCORER_KINDS,
     Scorer,
     ScorerTrainConfig,
     init_scorer_from_table,
@@ -77,6 +78,18 @@ class TestScoreTriple:
             s.score(5, 0, 0)
         with pytest.raises(ValueError):
             s.score(0, 3, 0)
+
+    def test_score_batch_agrees_with_scalar_and_checks_ids(self):
+        rng = np.random.default_rng(2)
+        rows = np.column_stack([rng.integers(6, size=20), rng.integers(2, size=20), rng.integers(6, size=20)])
+        for kind in SCORER_KINDS:
+            s = Scorer(kind=kind, ent=rng.normal(size=(6, 3)), rel=rng.normal(size=(2, 3)))
+            got = s.score_batch(rows)
+            for i, (h, r, t) in enumerate(rows.tolist()):
+                assert got[i] == pytest.approx(s.score(h, r, t), rel=1e-12, abs=1e-12)
+            for bad in ((-1, 0, 0), (0, 0, 6), (0, 2, 0)):
+                with pytest.raises(ValueError, match="outside"):
+                    s.score_batch(np.vstack([rows, bad]))
 
     def test_batched_scores_agree_with_scalar(self):
         rng = np.random.default_rng(1)
@@ -159,6 +172,59 @@ class TestFilteredRank:
                     got = filtered_rank(scorer, triple, side, fidx)
                     want = rank_oracle(scorer, triple, side, g.triples, g.n_entities)
                     assert got == want
+
+
+class TestBlockRanks:
+    """``link_prediction_eval``'s blocked ranks against the per-query
+    ``filtered_rank``."""
+
+    def _data(self, seed):
+        # a dense graph: most queries have other known answers, drawn
+        # from all three splits
+        g = build_graph(random_graph(seed, n_entities=14, n_relations=3, n_triples=110))
+        rows = np.random.default_rng(seed).permutation(g.triples)
+        train, valid, test = rows[:60], rows[60:85], rows[85:]
+        return g, test, build_filter_index(g.n_entities, g.n_relations, train, valid, test)
+
+    def _scorers(self, g, test, seed):
+        rng = np.random.default_rng(seed)
+        n_ent, n_rel = g.n_entities, g.n_relations
+        for kind in SCORER_KINDS:
+            yield Scorer(kind, rng.normal(size=(n_ent, 5)), rng.normal(size=(n_rel, 5)))
+            yield Scorer(kind, np.zeros((n_ent, 5)), np.zeros((n_rel, 5)))  # every score ties
+            # NaN rows at a true head, a true tail and one more entity
+            ent = rng.normal(size=(n_ent, 5))
+            ent[[test[0, 0], test[1, 2], int(rng.integers(n_ent))]] = np.nan
+            yield Scorer(kind, ent, rng.normal(size=(n_rel, 5)))
+        # small integer tables give exact distance ties
+        yield Scorer(
+            "translational",
+            rng.integers(-2, 3, size=(n_ent, 3)).astype(np.float64),
+            rng.integers(-2, 3, size=(n_rel, 3)).astype(np.float64),
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("block", [1, 4, 7, 1000])
+    def test_block_ranks_match_filtered_rank(self, monkeypatch, seed, block):
+        g, test, fidx = self._data(seed)
+        # `block` queries per block: several blocks, the last one ragged
+        monkeypatch.setattr(ranking, "BLOCK_CELLS", block * g.n_entities)
+        for scorer in self._scorers(g, test, seed):
+            res = link_prediction_eval(scorer, test, fidx)
+            for side, got in (("head", res.head_ranks), ("tail", res.tail_ranks)):
+                want = [filtered_rank(scorer, triple, side, fidx) for triple in test]
+                assert got.tolist() == want, (scorer.kind, side)
+
+    def test_scorer_of_another_entity_count_rejected(self):
+        s = Scorer(kind="bilinear", ent=np.ones((3, 2)), rel=np.ones((1, 2)))
+        with pytest.raises(ValueError, match="3 entity rows.*4 entities"):
+            link_prediction_eval(s, [[0, 0, 1]], build_filter_index(4, 1))
+
+    @pytest.mark.parametrize("row", [(-1, 0, 1), (0, 0, -1), (0, -1, 1), (4, 0, 1), (0, 0, 4), (0, 1, 1)])
+    def test_out_of_range_ids_rejected(self, row):
+        s = Scorer(kind="translational", ent=np.ones((4, 2)), rel=np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"test triple .* is outside 4 entities x 1 relations"):
+            link_prediction_eval(s, [(0, 0, 1), row], build_filter_index(4, 1))
 
 
 class TestRankingMetrics:
