@@ -38,7 +38,7 @@ from .scoring import (
 )
 from .classify import triple_classification_eval
 from .train import train_bilm
-from .walker import Chain, WalkConfig, generate_corpus, next_step_distribution, sample_walk
+from .walker import Chain, WalkConfig, generate_corpus, next_step_distribution
 
 __all__ = [
     "__version__",
@@ -75,7 +75,6 @@ __all__ = [
     "next_step_distribution",
     "pack_batch",
     "rank_breakdown_by_category",
-    "sample_walk",
     "save_checkpoint",
     "tokenize_chain",
     "train_bilm",

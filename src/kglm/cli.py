@@ -2,10 +2,11 @@
 
 All stages rebuild the graph deterministically from the same split
 files, so ids agree across stages; intermediate artifacts live in the
---out directory (corpus.txt, model.ckpt, loss_trace.tsv, embedding and
-report files). Export is the only stage that pools the corpus into the
-static table: both eval stages start from the exported .vec files, for
-either --init, and never read the checkpoint or the corpus.
+--out directory (corpus.txt, walk_stats.tsv, model.ckpt, loss_trace.tsv,
+embedding and report files). Export is the only stage that pools the
+corpus into the static table: both eval stages start from the exported
+.vec files, for either --init, and never read the checkpoint or the
+corpus.
 """
 
 import argparse
@@ -43,6 +44,7 @@ GRADCHECK_TOLERANCE = 1e-4
 def _paths(rc):
     return {
         "corpus": os.path.join(rc.out, "corpus.txt"),
+        "walk_stats": os.path.join(rc.out, "walk_stats.tsv"),
         "ckpt": os.path.join(rc.out, "model.ckpt"),
         "trace": os.path.join(rc.out, "loss_trace.tsv"),
         "emb": os.path.join(rc.out, "embeddings"),
@@ -96,7 +98,16 @@ def cmd_walk(rc):
     graph, _ = _load_graph(rc)
     os.makedirs(rc.out, exist_ok=True)
     path = _paths(rc)["corpus"]
-    chains = generate_corpus(graph, rc.walk_config(), out_path=path, threads=rc.threads)
+    config = rc.walk_config()
+    chains = generate_corpus(graph, config, out_path=path)
+    steps = np.array([len(c.relations) for c in chains], dtype=np.int64)
+    stats = [
+        f"chains\t{len(steps)}",
+        f"walk_steps\t{steps.sum()}",
+        f"dead_end_chains\t{np.count_nonzero(steps < config.n_steps)}",
+    ]
+    stats += [f"chains_of_{k}_steps\t{n}" for k, n in enumerate(np.bincount(steps, minlength=config.n_steps + 1))]
+    _write_lines(_paths(rc)["walk_stats"], stats)
     print(f"wrote {len(chains)} chains to {path}")
     return 0
 

@@ -178,6 +178,7 @@ _FLAG_HELP = {
     "clip": {"help": "projection clip half-range"},
     "init": {"help": "scorer embedding init: learned contextual table or random"},
     "negatives": {"help": "corruptions per positive"},
+    "threads": {"help": "ignored: no stage reads it; kept so existing command lines still parse"},
 }
 
 

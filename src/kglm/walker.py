@@ -4,12 +4,13 @@ A walk alternates entities and relations, ``e1 r1 e2 ... ek``, and is
 biased by a return parameter p and an in-out parameter q: stepping back
 to the previous node weighs 1/p, stepping to one of its neighbors 1,
 and stepping further away 1/q. Each (start entity, walk index) pair
-owns an RNG stream derived from the corpus seed, so generation order
-and thread count never change the output.
+owns an RNG stream derived from the corpus seed, so a chain depends only
+on the seed, the graph and its own (entity, walk) pair. All walks are
+sampled together by :func:`kglm.kernels.walk_steps`.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +31,10 @@ class WalkConfig:
     seed: int = seeds.DEFAULT_SEED
 
     def __post_init__(self):
-        if not self.p > 0 or not self.q > 0:
-            raise ValueError("p and q must be positive")
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value) and math.isfinite(1.0 / value)):
+                raise ValueError(f"{name} must be positive, finite and have a finite reciprocal, got {value!r}")
         if self.walk_length < 3 or self.walk_length % 2 == 0:
             raise ValueError("walk_length must be odd and >= 3")
         if self.walks_per_node < 1:
@@ -107,53 +110,38 @@ def next_step_distribution(prev_entity, cur_entity, graph, p, q):
     return StepDistribution(rels, nbrs, w / w.sum())
 
 
-def sample_walk(start_entity, graph, config, rng):
-    """Walk from ``start_entity``; the first step is uniform over its
-    out-edges, later steps follow the second-order rule. Dead ends
-    truncate the chain (a start with no out-edges yields a single-entity
-    chain)."""
+def generate_corpus(graph, config, out_path=None):
+    """Generate walks_per_node chains per entity in canonical
+    (entity id, walk index) order, optionally writing them to
+    ``out_path`` (one chain per line, space-separated surfaces). The
+    first step of a walk is uniform over its start's out-edges, later
+    steps follow the second-order rule, and a dead end truncates the
+    chain (a start with no out-edges yields a single-entity chain)."""
     n_steps = config.n_steps
-    uniforms = rng.random(n_steps)
-    ents, rels, k = kernels.walk_steps(
+    starts = np.repeat(np.arange(graph.n_entities, dtype=np.int64), config.walks_per_node)
+    uniforms = np.array(
+        [
+            seeds.derived_rng(config.seed, seeds.WALKS, e, w).random(n_steps)
+            for e in range(graph.n_entities)
+            for w in range(config.walks_per_node)
+        ]
+    )
+    ents, rels, steps = kernels.walk_steps(
         graph.adj_off,
         graph.adj_rel,
         graph.adj_nbr,
         graph.nbr_off,
         graph.nbr_sorted,
-        np.int64(start_entity),
-        n_steps,
+        starts,
+        uniforms,
         1.0 / config.p,
         1.0 / config.q,
-        uniforms,
     )
-    return Chain(entities=ents[: k + 1].copy(), relations=rels[:k].copy(), dead_end=k < n_steps)
-
-
-def _walks_for_entity(entity_id, graph, config):
-    out = []
-    for w in range(config.walks_per_node):
-        rng = seeds.derived_rng(config.seed, seeds.WALKS, entity_id, w)
-        out.append(sample_walk(entity_id, graph, config, rng))
-    return out
-
-
-def generate_corpus(graph, config, out_path=None, threads=1):
-    """Generate walks_per_node chains per entity in canonical
-    (entity id, walk index) order, optionally writing them to
-    ``out_path`` (one chain per line, space-separated surfaces)."""
-    n = graph.n_entities
-    if threads > 1:
-        chains_per_entity = [None] * n
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_walks_for_entity, e, graph, config): e for e in range(n)}
-            for fut in futures:
-                chains_per_entity[futures[fut]] = fut.result()
-        chains = [c for group in chains_per_entity for c in group]
-    else:
-        chains = []
-        for e in range(n):
-            chains.extend(_walks_for_entity(e, graph, config))
-    truncated = sum(1 for c in chains if c.dead_end)
+    chains = [
+        Chain(entities=ents[i, : k + 1].copy(), relations=rels[i, :k].copy(), dead_end=k < n_steps)
+        for i, k in enumerate(steps.tolist())
+    ]
+    truncated = int(np.count_nonzero(steps < n_steps))
     if truncated:
         logger.warning("%d of %d chains hit a dead end and were truncated", truncated, len(chains))
     if out_path is not None:

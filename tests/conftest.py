@@ -71,14 +71,14 @@ def parse_config(config_path, flag_list):
 
 def step(graph, prev, cur, p, q, u):
     """One second-order step from ``cur`` (``prev=None``: no history)
-    through ``kernels.step_choice``, the kernel ``walk_steps`` runs, on
-    the CSR slice of ``cur``. Returns the (relation, neighbor) ids."""
-    lo, hi = graph.adj_off[cur], graph.adj_off[cur + 1]
-    prev = -1 if prev is None else int(prev)
-    k = kernels.step_choice(
-        graph.adj_rel, graph.adj_nbr, lo, hi, graph.nbr_off, graph.nbr_sorted, prev, 1.0 / p, 1.0 / q, u
-    )
-    return int(graph.adj_rel[lo + k]), int(graph.adj_nbr[lo + k])
+    per uniform in the array ``u``, all through one call of
+    ``kernels.step_choice``, the kernel ``walk_steps`` runs. Returns the
+    (relation ids, neighbor ids) arrays of the chosen edges."""
+    index = kernels.walk_index(graph.adj_off, graph.adj_nbr, graph.nbr_off, graph.nbr_sorted)
+    prev = np.full(len(u), -1 if prev is None else prev, dtype=np.int64)
+    cur = np.full(len(u), cur, dtype=np.int64)
+    edge = kernels.step_choice(index, prev, cur, u, 1.0 / p, 1.0 / q)
+    return graph.adj_rel[edge], graph.adj_nbr[edge]
 
 
 def to_ids(graph, surface_triples):

@@ -10,6 +10,7 @@ import filecmp
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,11 +59,8 @@ class TestCriterion1Gradients:
 class TestCriterion2WalkDistribution:
     def _empirical_tv(self, graph, prev, cur, p, q, n=100_000, seed=99):
         dist = next_step_distribution(prev, cur, graph, p, q)
-        rng = np.random.default_rng(seed)
-        counts = {}
-        for _ in range(n):
-            key = step(graph, prev, cur, p, q, rng.random())
-            counts[key] = counts.get(key, 0) + 1
+        rels, nbrs = step(graph, prev, cur, p, q, np.random.default_rng(seed).random(n))
+        counts = Counter(zip(rels.tolist(), nbrs.tolist()))
         tv = 0.0
         for rel, nbr, pr in zip(dist.rels, dist.nbrs, dist.probs):
             emp = counts.get((int(rel), int(nbr)), 0) / n
@@ -254,6 +252,7 @@ class TestCriterion7Determinism:
             outs.append(out)
         files = [
             "corpus.txt",
+            "walk_stats.tsv",
             "model.ckpt",
             "embeddings.entities.vec",
             "embeddings.relations.vec",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kglm import seeds
+from kglm import kernels, seeds
+from kglm.cli import main as cli_main
 from kglm.graph import build_graph
 from kglm.walker import (
     Chain,
@@ -9,7 +10,6 @@ from kglm.walker import (
     generate_corpus,
     next_step_distribution,
     read_corpus,
-    sample_walk,
     transition_weight,
     write_corpus,
 )
@@ -37,6 +37,64 @@ def analytic_oracle(graph, prev, cur, p, q):
     return rels, nbrs, w / w.sum()
 
 
+def reference_step(adj_rel, adj_nbr, lo, hi, nbr_off, nbr_sorted, prev, inv_p, inv_q, u):
+    """The scalar step: weigh every edge of the slice [lo, hi), take a
+    sequential cumulative sum and pick the first edge above u * total.
+    The reference for the lockstep kernel."""
+    nbrs = adj_nbr[lo:hi]
+    n = hi - lo
+    if prev < 0:
+        w = np.ones(n, dtype=np.float64)
+    else:
+        w = np.full(n, inv_q, dtype=np.float64)
+        plo = nbr_off[prev]
+        phi = nbr_off[prev + 1]
+        prev_nbrs = nbr_sorted[plo:phi]
+        if phi > plo:
+            pos = np.searchsorted(prev_nbrs, nbrs)
+            pos_c = np.minimum(pos, phi - plo - 1)
+            w[prev_nbrs[pos_c] == nbrs] = 1.0
+        w[nbrs == prev] = inv_p
+    cum = np.cumsum(w)
+    k = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    if k >= n:
+        k = n - 1
+    return k
+
+
+def reference_walk(graph, start, inv_p, inv_q, uniforms):
+    """One walk at a time through :func:`reference_step`. Returns
+    (entities, relations) of the walk, which stops at a dead end."""
+    ents, rels = [int(start)], []
+    prev = -1
+    for u in uniforms:
+        cur = ents[-1]
+        lo, hi = graph.adj_off[cur], graph.adj_off[cur + 1]
+        if hi == lo:
+            break
+        k = lo + reference_step(
+            graph.adj_rel, graph.adj_nbr, lo, hi, graph.nbr_off, graph.nbr_sorted, prev, inv_p, inv_q, u
+        )
+        rels.append(int(graph.adj_rel[k]))
+        ents.append(int(graph.adj_nbr[k]))
+        prev = cur
+    return ents, rels
+
+
+def hub_graph(seed, add_inverses):
+    """A random graph with parallel edges, self-loops, two held-out-only
+    isolated entities and one hub of over 200 out-edges; without
+    inverses most entities are dead ends."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    hub = rng.choice(6 * n, size=210, replace=False)
+    triples = {("e0", f"r{k % 6}", f"e{k // 6}") for k in hub}
+    while len(triples) < 210 + 120:
+        h, r, t = rng.integers(n), rng.integers(6), rng.integers(n)
+        triples.add((f"e{h}", f"r{r}", f"e{t}"))
+    return build_graph(sorted(triples), add_inverses=add_inverses, extra_entities=["iso0", "iso1"])
+
+
 class TestWalkConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,6 +109,21 @@ class TestWalkConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             WalkConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("p", float("inf")), ("q", float("inf")), ("q", 1e-320), ("p", 1e-320)],
+    )
+    def test_non_finite_bias_rejected(self, name, value):
+        # 1/1e-320 overflows to inf, so that bias gives infinite weights
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            WalkConfig(**{name: value})
+
+    def test_non_finite_bias_fails_the_walk_stage(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tr\tb\n", encoding="utf-8")
+        assert cli_main(["walk", "--train", str(train), "--out", str(tmp_path / "out"), "--p", "inf"]) == 1
+        assert "p must be" in capsys.readouterr().err
 
     def test_steps(self):
         assert WalkConfig(walk_length=21).n_steps == 10
@@ -136,28 +209,29 @@ class TestNextStepDistribution:
 class TestSampleWalk:
     def test_isolated_start(self):
         g = build_graph([("a", "r", "b")], add_inverses=False)
-        rng = np.random.default_rng(0)
-        chain = sample_walk(g.entities.id_of("b"), g, WalkConfig(walk_length=5), rng)
+        chains = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=5))
+        chain = chains[g.entities.id_of("b")]
         assert chain.n_tokens == 1 and chain.dead_end
 
     def test_full_length_gives_11_entities(self, ring_graph):
-        rng = np.random.default_rng(0)
-        chain = sample_walk(0, ring_graph, WalkConfig(walk_length=21), rng)
-        assert len(chain.entities) == 11
-        assert len(chain.relations) == 10
-        assert not chain.dead_end
+        for chain in generate_corpus(ring_graph, WalkConfig(walks_per_node=2, walk_length=21)):
+            assert len(chain.entities) == 11
+            assert len(chain.relations) == 10
+            assert not chain.dead_end
 
     def test_same_seed_same_chain(self, ring_graph):
-        cfg = WalkConfig(walk_length=9, seed=3)
-        c1 = sample_walk(0, ring_graph, cfg, seeds.derived_rng(3, seeds.WALKS, 0, 0))
-        c2 = sample_walk(0, ring_graph, cfg, seeds.derived_rng(3, seeds.WALKS, 0, 0))
-        assert np.array_equal(c1.entities, c2.entities)
-        assert np.array_equal(c1.relations, c2.relations)
+        # every chain is the walk its own (seed, entity, walk) stream gives
+        cfg = WalkConfig(walks_per_node=3, walk_length=9, seed=3)
+        chains = generate_corpus(ring_graph, cfg)
+        for i, chain in enumerate(chains):
+            e, w = divmod(i, 3)
+            uniforms = seeds.derived_rng(3, seeds.WALKS, e, w).random(cfg.n_steps)
+            ents, rels = reference_walk(ring_graph, e, 1.0, 1.0, uniforms)
+            assert chain.entities.tolist() == ents and chain.relations.tolist() == rels
 
     def test_truncates_at_dead_end(self):
         g = build_graph([("a", "r", "b"), ("b", "r", "c")], add_inverses=False)
-        rng = np.random.default_rng(0)
-        chain = sample_walk(0, g, WalkConfig(walk_length=21), rng)
+        chain = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=21))[0]
         assert chain.dead_end and chain.n_tokens == 5  # a r b r c
 
     def test_chain_validity_on_random_graphs(self):
@@ -169,6 +243,34 @@ class TestSampleWalk:
                     e, r, nxt = chain.entities[i], chain.relations[i], chain.entities[i + 1]
                     rels, nbrs = g.out_edges(int(e))
                     assert any(rr == r and nn == nxt for rr, nn in zip(rels, nbrs))
+
+    @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0), (0.25, 4.0), (1.7, 0.6)])
+    def test_walk_steps_match_scalar_reference(self, p, q):
+        # when p and q are powers of two every cumulative weight is exact,
+        # so the rows may also hold uniforms that land exactly on one
+        dyadic = np.log2(p).is_integer() and np.log2(q).is_integer()
+        sides = set()
+        for seed in range(4):
+            g = hub_graph(seed, add_inverses=seed % 2 == 0)
+            rng = np.random.default_rng(seed)
+            starts = np.repeat(np.arange(g.n_entities), 3)
+            uniforms = rng.random((len(starts), 8))
+            if dyadic:
+                exact = rng.random(uniforms.shape) < 0.5
+                uniforms[exact] = rng.integers(0, 65, size=np.count_nonzero(exact)) / 64.0
+                uniforms[uniforms == 1.0] = 1.0 - 2.0**-53
+            ents, rels, steps = kernels.walk_steps(
+                g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, uniforms, 1.0 / p, 1.0 / q
+            )
+            for i, start in enumerate(starts):
+                ref_ents, ref_rels = reference_walk(g, start, 1.0 / p, 1.0 / q, uniforms[i])
+                k = steps[i]
+                assert ents[i, : k + 1].tolist() == ref_ents and rels[i, :k].tolist() == ref_rels
+                assert (ents[i, k + 1 :] == -1).all() and (rels[i, k:] == -1).all()
+                for prev, cur in zip(ref_ents, ref_ents[1:-1]):
+                    sides.add(g.out_degree(cur) <= len(g.neighbors_sorted(prev)))
+            assert steps.min() == 0 and steps.max() == 8
+        assert sides == {True, False}  # both lookup sides ran
 
 
 class TestCorpus:
@@ -196,13 +298,12 @@ class TestCorpus:
             assert np.array_equal(a.entities, b.entities)
             assert np.array_equal(a.relations, b.relations)
 
-    def test_bit_identical_across_runs_and_threads(self, tmp_path, ring_graph):
+    def test_bit_identical_across_runs(self, tmp_path, ring_graph):
         cfg = WalkConfig(walks_per_node=6, walk_length=9, seed=11)
-        p1, p2, p3 = (tmp_path / n for n in ("a.txt", "b.txt", "c.txt"))
-        generate_corpus(ring_graph, cfg, out_path=str(p1), threads=1)
-        generate_corpus(ring_graph, cfg, out_path=str(p2), threads=1)
-        generate_corpus(ring_graph, cfg, out_path=str(p3), threads=4)
-        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+        p1, p2 = (tmp_path / n for n in ("a.txt", "b.txt"))
+        generate_corpus(ring_graph, cfg, out_path=str(p1))
+        generate_corpus(ring_graph, cfg, out_path=str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_whitespace_token_rejected(self, tmp_path):
         g = build_graph([("a b", "r", "c")])
@@ -214,11 +315,29 @@ class TestCorpus:
         # hand-normalized {a: 0.25/4.25, c: 4/4.25}, checked empirically
         g = path_graph
         a, b = g.entities.id_of("a"), g.entities.id_of("b")
-        rng = np.random.default_rng(123)
         n = 200_000
-        hits = {}
-        for _ in range(n):
-            _, nbr = step(g, a, b, 4.0, 0.25, rng.random())
-            hits[nbr] = hits.get(nbr, 0) + 1
-        assert hits[a] / n == pytest.approx(0.25 / 4.25, abs=5e-3)
-        assert hits[g.entities.id_of("c")] / n == pytest.approx(4.0 / 4.25, abs=5e-3)
+        _, nbrs = step(g, a, b, 4.0, 0.25, np.random.default_rng(123).random(n))
+        assert np.count_nonzero(nbrs == a) / n == pytest.approx(0.25 / 4.25, abs=5e-3)
+        assert np.count_nonzero(nbrs == g.entities.id_of("c")) / n == pytest.approx(4.0 / 4.25, abs=5e-3)
+
+    def test_walk_stats_count_chain_lengths(self, tmp_path):
+        # train a -> b, b -> c; c -> d is only in test, so d has no edges
+        # and its chains end at once
+        paths = []
+        for name, text in (("train", "a\tr\tb\nb\tr\tc\n"), ("valid", "a\tr\tc\n"), ("test", "c\tr\td\n")):
+            paths += [f"--{name}", str(tmp_path / f"{name}.tsv")]
+            (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["walk", *paths, "--out", str(out), "--walks-per-node", "2", "--walk-length", "7"]) == 0
+        lines = (out / "walk_stats.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "chains\t8",
+            "walk_steps\t18",
+            "dead_end_chains\t2",
+            "chains_of_0_steps\t2",
+            "chains_of_1_steps\t0",
+            "chains_of_2_steps\t0",
+            "chains_of_3_steps\t6",
+        ]
+        lengths = [len(line.split()) for line in (out / "corpus.txt").read_text(encoding="utf-8").splitlines()]
+        assert sorted(lengths) == [1, 1] + [7] * 6
