@@ -89,7 +89,7 @@ class ForwardResult:
     loss_bwd: float
     n_events: int
     states: BatchStates
-    cache: dict | None
+    cache: dict
 
 
 def log_softmax(logits):
@@ -195,40 +195,32 @@ def bilm_states(batch, params, config, train=False, rng=None):
     return states, {"fwd": cache_f, "bwd": cache_b}
 
 
-def bilm_forward(batch, params, config, mode="train", rng=None):
-    """Full forward pass. In train mode the returned cache supports
-    :func:`bilm_backward`; eval mode applies no dropout and keeps no
-    cache."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    train = mode == "train"
-    if train and config.dropout > 0.0 and rng is None:
-        raise ValueError("train mode with dropout needs an rng")
-    states, stack_caches = bilm_states(batch, params, config, train, rng)
+def bilm_forward(batch, params, config, rng=None):
+    """Full training forward pass, with dropout drawn from ``rng``; the
+    returned cache supports one :func:`bilm_backward`."""
+    if config.dropout > 0.0 and rng is None:
+        raise ValueError("a forward pass with dropout needs an rng")
+    states, stack_caches = bilm_states(batch, params, config, train=True, rng=rng)
 
     sum_f, loss_cache_f = _direction_loss(states.fwd[-1], batch, params, reverse=False)
     sum_b, loss_cache_b = _direction_loss(states.bwd[-1], batch, params, reverse=True)
     n_dir = float(batch.mask[1:].sum())
     n_events = int(2 * n_dir)
     loss = (sum_f + sum_b) / n_events
-
-    cache = None
-    if train:
-        cache = {
-            "batch": batch,
-            "x": states.x,
-            **stack_caches,
-            "loss_f": loss_cache_f,
-            "loss_b": loss_cache_b,
-            "n_events": n_events,
-        }
     return ForwardResult(
         loss=loss,
         loss_fwd=sum_f / n_dir,
         loss_bwd=sum_b / n_dir,
         n_events=n_events,
         states=states,
-        cache=cache,
+        cache={
+            "batch": batch,
+            "x": states.x,
+            **stack_caches,
+            "loss_f": loss_cache_f,
+            "loss_b": loss_cache_b,
+            "n_events": n_events,
+        },
     )
 
 
@@ -257,12 +249,10 @@ def _direction_backward(tag, dtop, dir_cache, layers, config, grads):
 
 
 def bilm_backward(result, params, config):
-    """Gradients of the mean loss for every parameter block; requires a
-    train-mode forward result. It overwrites that result's cached head
-    probabilities, so each forward result takes one backward."""
+    """Gradients of the mean loss for every parameter block. It
+    overwrites the forward result's cached head probabilities, so each
+    forward result takes one backward."""
     cache = result.cache
-    if cache is None:
-        raise RuntimeError("backward requires a train-mode forward pass with cache")
     if cache.get("heads_consumed"):
         raise RuntimeError(
             "this forward result was already used by bilm_backward, which overwrites "

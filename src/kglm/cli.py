@@ -55,6 +55,11 @@ def _paths(rc):
     }
 
 
+def _require_input(path, what, stage):
+    if not os.path.exists(path):
+        raise ConfigError(f"no {what} at {path}; run the {stage} stage first")
+
+
 def _load_graph(rc):
     rc.require("train")
     return load_dataset(rc.train, rc.valid, rc.test)
@@ -116,8 +121,7 @@ def cmd_train(rc):
     rc.require("train", "out")
     graph, _ = _load_graph(rc)
     paths = _paths(rc)
-    if not os.path.exists(paths["corpus"]):
-        raise ConfigError(f"no corpus at {paths['corpus']}; run the walk stage first")
+    _require_input(paths["corpus"], "corpus", "walk")
     chains = read_corpus(paths["corpus"], graph)
     _, trace = train_bilm(
         chains,
@@ -135,6 +139,8 @@ def cmd_export(rc):
     rc.require("train", "out")
     graph, _ = _load_graph(rc)
     paths = _paths(rc)
+    _require_input(paths["corpus"], "corpus", "walk")
+    _require_input(paths["ckpt"], "checkpoint", "train")
     params, mconfig = _load_model(rc, graph)
     chains = read_corpus(paths["corpus"], graph)
     table = aggregate_static(chains, params, mconfig)

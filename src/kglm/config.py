@@ -7,6 +7,7 @@ pass silently.
 """
 
 import argparse
+import math
 from dataclasses import dataclass, fields
 
 from . import seeds
@@ -27,12 +28,18 @@ _CHOICES = {
     "scorer_kind": ("translational", "bilinear"),
 }
 
-# Numeric fields with a lower bound: (test, what the message expects).
+# Numeric fields with a range: (test, what the message expects). A NaN
+# fails every test.
+_FINITE_POSITIVE = (lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
 _BOUNDS = {
     "scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
     "scorer_epochs": (lambda v: v >= 0, "an integer >= 0"),
     "negatives": (lambda v: v >= 1, "an integer >= 1"),
     "margin": (lambda v: v > 0, "a number > 0"),
+    "lr": _FINITE_POSITIVE,
+    "scorer_lr": _FINITE_POSITIVE,
+    "clip": _FINITE_POSITIVE,
+    "checkpoint_interval": (lambda v: v >= 0, "an integer >= 0"),
 }
 
 

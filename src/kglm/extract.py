@@ -2,8 +2,9 @@
 
 Per-occurrence contextual states are combined as [x_t, sum_i lam_i *
 h_{t,i}] (the pair embedding concatenated with a layer-weighted sum of
-bidirectional states), then mean-pooled per entity and per relation
-into a static table exportable in word2vec text format. A position's
+bidirectional states, ELMo's mix), then mean-pooled per entity and per
+relation into a static table exportable in word2vec text format. The
+exported table uses the uniform weights lam_i = 1/L. A position's
 vector is attributed to both members of its pair token. Items never
 observed in the corpus fall back to their context-independent embedding
 in its slot and zeros elsewhere.
@@ -47,9 +48,9 @@ def combine(layer_states, lam):
 @dataclass
 class LayeredStaticTable:
     """Mean x-part and per-layer mean contextual states for every
-    vocabulary item; the raw material for any lambda combination.
-    Layer blocks of never-observed items are zero and their x block is
-    the item's own embedding (zeros in the other slot)."""
+    vocabulary item. Layer blocks of never-observed items are zero and
+    their x block is the item's own embedding (zeros in the other
+    slot)."""
 
     ent_x: np.ndarray  # (|E|, D)
     ent_layers: np.ndarray  # (|E|, L, 2P)
@@ -57,20 +58,6 @@ class LayeredStaticTable:
     rel_x: np.ndarray
     rel_layers: np.ndarray
     rel_counts: np.ndarray
-
-    @property
-    def n_layers(self):
-        return self.ent_layers.shape[1]
-
-    @property
-    def dim(self):
-        return self.ent_x.shape[1] + self.ent_layers.shape[2]
-
-    def flatten(self, lam):
-        lam = np.asarray(lam, dtype=np.float64)
-        ent = np.concatenate([self.ent_x, np.tensordot(self.ent_layers, lam, axes=(1, 0))], axis=1)
-        rel = np.concatenate([self.rel_x, np.tensordot(self.rel_layers, lam, axes=(1, 0))], axis=1)
-        return ent, rel
 
 
 @dataclass
@@ -87,7 +74,11 @@ class StaticEmbeddingTable:
         return self.entity_vecs.shape[1]
 
 
-def aggregate_layered(chains, params, config, chunk_size=256):
+# chains per batch through the direction stacks
+CHUNK_SIZE = 256
+
+
+def aggregate_layered(chains, params, config):
     """Mean-pool contextual states over every corpus occurrence,
     separately per layer, attributed to both the entity and the
     relation of each pair token."""
@@ -107,8 +98,8 @@ def aggregate_layered(chains, params, config, chunk_size=256):
     rel_counts = np.zeros(nR, dtype=np.int64)
 
     tokenized = [tokenize_chain(c, eos) for c in chains]
-    for start in range(0, len(tokenized), chunk_size):
-        batch = pack_batch(tokenized[start : start + chunk_size], dtype=config.dtype)
+    for start in range(0, len(tokenized), CHUNK_SIZE):
+        batch = pack_batch(tokenized[start : start + CHUNK_SIZE], dtype=config.dtype)
         states, _ = bilm_states(batch, params, config)
         # Real positions in sequence-major order, so every item's sums
         # accumulate in the same order as one scatter per sequence would.
@@ -147,20 +138,15 @@ def aggregate_layered(chains, params, config, chunk_size=256):
     )
 
 
-def aggregate_static(chains, params, config, lam=None):
-    """Static per-item table from mean-pooled combined vectors; ``lam``
-    defaults to uniform weights over layers."""
+def aggregate_static(chains, params, config):
+    """Static per-item table: the pooled pair embedding concatenated with
+    the uniform mean of the pooled per-layer states."""
     layered = aggregate_layered(chains, params, config)
-    L = layered.n_layers
-    if lam is None:
-        lam = np.full(L, 1.0 / L)
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (L,):
-        raise ValueError(f"lambda must have one weight per layer ({L})")
-    ent, rel = layered.flatten(lam)
+    L = layered.ent_layers.shape[1]
+    uniform = np.full(L, 1.0 / L)
     return StaticEmbeddingTable(
-        entity_vecs=ent,
-        relation_vecs=rel,
+        entity_vecs=np.concatenate([layered.ent_x, np.tensordot(layered.ent_layers, uniform, axes=(1, 0))], axis=1),
+        relation_vecs=np.concatenate([layered.rel_x, np.tensordot(layered.rel_layers, uniform, axes=(1, 0))], axis=1),
         entity_counts=layered.ent_counts,
         relation_counts=layered.rel_counts,
     )

@@ -12,6 +12,11 @@ import numpy as np
 from .bilm import bilm_backward, bilm_forward, pack_batch
 from .model import ModelConfig, init_params
 
+# central-difference step
+STEP = 1e-5
+N_ENTITIES = 20
+N_RELATIONS = 6
+
 
 def _random_batch(rng, n_entities, n_relations, n_seqs=6, max_len=7):
     pairs = []
@@ -23,38 +28,28 @@ def _random_batch(rng, n_entities, n_relations, n_seqs=6, max_len=7):
     return pack_batch(pairs, dtype=np.float64)
 
 
-def run_gradcheck(
-    seed=7,
-    n_coords=120,
-    step=1e-5,
-    n_entities=20,
-    n_relations=6,
-    num_layers=2,
-    hidden=8,
-    proj=4,
-    dropout=0.1,
-):
+def run_gradcheck(seed=7, n_coords=120):
     """Returns (max relative error, per-block max dict)."""
     config = ModelConfig(
-        num_layers=num_layers,
-        hidden_units=hidden,
-        proj_dim=proj,
+        num_layers=2,
+        hidden_units=8,
+        proj_dim=4,
         entity_dim=5,
         relation_dim=3,
-        dropout=dropout,
+        dropout=0.1,
         residual=True,
         batch_size=8,
         precision="f64",
         seed=seed,
     )
     rng = np.random.default_rng(seed)
-    params = init_params(config, n_entities, n_relations, rng=rng)
-    batch = _random_batch(rng, n_entities, n_relations)
+    params = init_params(config, N_ENTITIES, N_RELATIONS, rng=rng)
+    batch = _random_batch(rng, N_ENTITIES, N_RELATIONS)
 
     def loss_fn():
         # fixed dropout stream: the loss is deterministic in the params
         drop_rng = np.random.default_rng(seed + 1)
-        return bilm_forward(batch, params, config, mode="train", rng=drop_rng)
+        return bilm_forward(batch, params, config, rng=drop_rng)
 
     result = loss_fn()
     grads = bilm_backward(result, params, config)
@@ -71,12 +66,12 @@ def run_gradcheck(
         block_worst = 0.0
         for k in idx:
             orig = flat[k]
-            flat[k] = orig + step
+            flat[k] = orig + STEP
             up = loss_fn().loss
-            flat[k] = orig - step
+            flat[k] = orig - STEP
             down = loss_fn().loss
             flat[k] = orig
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * STEP)
             rel = abs(gflat[k] - fd) / max(abs(gflat[k]), abs(fd), 1e-6)
             block_worst = max(block_worst, rel)
         per_block[name] = block_worst

@@ -319,7 +319,7 @@ class DatasetSplit:
                 raise ValueError(f"split {names[i]} overlaps split {owner}: both hold the id triple {row}")
 
 
-def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True):
+def load_dataset(train_path, valid_path=None, test_path=None):
     """Load split files into a graph plus :class:`DatasetSplit`.
 
     The vocabulary covers every split so evaluation triples always have
@@ -333,9 +333,7 @@ def load_dataset(train_path, valid_path=None, test_path=None, add_inverses=True)
     test = _drop_duplicates(load_triples(test_path)) if test_path else []
 
     held_out = valid + test
-    graph = build_graph(
-        train, add_inverses=add_inverses, extra_entities=[e for h, _, t in held_out for e in (h, t)]
-    )
+    graph = build_graph(train, extra_entities=[e for h, _, t in held_out for e in (h, t)])
     for name, rows in (("valid", valid), ("test", test)):
         for _, r, _ in rows:
             # an inverse or <eos> id is in the vocabulary but never a fact

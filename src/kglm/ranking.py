@@ -22,6 +22,10 @@ from .graph import check_ids
 
 # score cells per block: float64 score blocks of about 8 MB
 BLOCK_CELLS = 2**20
+# the k of the reported hits@k
+HITS_K = 10
+# relation names are paths such as /people/person/nationality
+CATEGORY_SEPARATOR = "/"
 
 
 def filtered_rank(scorer, triple, side, filter_index):
@@ -51,14 +55,13 @@ class RankingResult:
 
     head_ranks: np.ndarray
     tail_ranks: np.ndarray
-    hits_k: int = 10
 
     def _metrics(self, ranks):
         ranks = np.asarray(ranks, dtype=np.float64)
         return {
             "mrr": float((1.0 / ranks).mean()),
             "mr": float(ranks.mean()),
-            f"hits@{self.hits_k}": float((ranks <= self.hits_k).mean()),
+            f"hits@{HITS_K}": float((ranks <= HITS_K).mean()),
         }
 
     def metrics(self, side):
@@ -74,7 +77,7 @@ class RankingResult:
 
     def report_rows(self):
         rows = []
-        for metric in ("mrr", "mr", f"hits@{self.hits_k}"):
+        for metric in ("mrr", "mr", f"hits@{HITS_K}"):
             for side in ("head", "tail", "avg"):
                 rows.append((metric, side, self.metrics(side)[metric]))
         return rows
@@ -141,7 +144,7 @@ def write_metrics_report(result, path):
 
 def format_metrics_table(result):
     lines = [f"{'metric':<10}{'head':>12}{'tail':>12}{'avg':>12}"]
-    for metric in ("mrr", "mr", f"hits@{result.hits_k}"):
+    for metric in ("mrr", "mr", f"hits@{HITS_K}"):
         vals = [result.metrics(s)[metric] for s in ("head", "tail", "avg")]
         lines.append(f"{metric:<10}" + "".join(f"{v:>12.4f}" for v in vals))
     return "\n".join(lines)
@@ -155,15 +158,15 @@ def write_ranks(result, test_triples, path):
             fh.write(f"{h}\t{r}\t{t}\t{hr}\t{tr}\n")
 
 
-def rank_breakdown_by_category(test_triples, tail_ranks, relation_names, separator="/"):
+def rank_breakdown_by_category(test_triples, tail_ranks, relation_names):
     """Mean tail rank per first relation-path component (relations
     without the separator form their own category). Sorted by mean rank
     then name."""
     groups = defaultdict(list)
     for (h, r, t), rank in zip(np.asarray(test_triples), tail_ranks):
         name = relation_names[int(r)]
-        parts = [c for c in name.split(separator) if c]
-        category = parts[0] if separator in name and parts else name
+        parts = [c for c in name.split(CATEGORY_SEPARATOR) if c]
+        category = parts[0] if CATEGORY_SEPARATOR in name and parts else name
         groups[category].append(int(rank))
     rows = [(cat, float(np.mean(rs)), len(rs)) for cat, rs in groups.items()]
     rows.sort(key=lambda row: (row[1], row[0]))

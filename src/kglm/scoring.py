@@ -22,6 +22,11 @@ logger = logging.getLogger(__name__)
 
 SCORER_KINDS = ("translational", "bilinear")
 
+# positives per Adam step
+BATCH_SIZE = 512
+# corruption rounds before a row counts as uncorruptible
+MAX_NEGATIVE_ROUNDS = 1000
+
 
 @dataclass
 class Scorer:
@@ -93,11 +98,10 @@ def _standardize(vecs, dim):
     return c * (_target_std(dim) / std)
 
 
-def init_scorer_from_table(entity_vecs, relation_vecs, kind, dim=None, rng=None, standardize=True):
+def init_scorer_from_table(entity_vecs, relation_vecs, kind, dim=None, rng=None):
     """Materialize scorer tables from the entity and relation matrices
     of a static embedding table: an optional random projection when dims
-    differ, then a standardizing affine map (disable with
-    ``standardize=False`` to get the raw vectors)."""
+    differ, then a standardizing affine map."""
     ent = np.asarray(entity_vecs, dtype=np.float64)
     rel = np.asarray(relation_vecs, dtype=np.float64)
     width = ent.shape[1]
@@ -108,10 +112,7 @@ def init_scorer_from_table(entity_vecs, relation_vecs, kind, dim=None, rng=None,
         W = rng.normal(0.0, 1.0 / np.sqrt(width), size=(width, dim))
         ent = ent @ W
         rel = rel @ W
-    if standardize:
-        ent = _standardize(ent, dim)
-        rel = _standardize(rel, dim)
-    return Scorer(kind=kind, ent=ent, rel=rel)
+    return Scorer(kind=kind, ent=_standardize(ent, dim), rel=_standardize(rel, dim))
 
 
 @dataclass
@@ -120,7 +121,6 @@ class ScorerTrainConfig:
     lr: float = 0.01
     margin: float = 1.0
     negatives: int = 1
-    batch_size: int = 512
     seed: int = seeds.DEFAULT_SEED
 
     def __post_init__(self):
@@ -132,7 +132,7 @@ class ScorerTrainConfig:
             raise ValueError("negatives must be >= 1")
 
 
-def sample_negatives(triples, known, rng, max_rounds=1000):
+def sample_negatives(triples, known, rng):
     """One corruption per positive: replace head or tail (probability
     0.5 each) with a uniform entity, rejecting known-true triples.
 
@@ -144,7 +144,7 @@ def sample_negatives(triples, known, rng, max_rounds=1000):
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     negs = triples.copy()
     pending = np.arange(len(triples))
-    for _ in range(max_rounds):
+    for _ in range(MAX_NEGATIVE_ROUNDS):
         side = np.where(rng.random(len(pending)) < 0.5, 0, 2)
         cand = triples[pending]
         cand[np.arange(len(pending)), side] = rng.integers(known.n_entities, size=len(pending))
@@ -204,7 +204,7 @@ def train_scorer(scorer, train_triples, known, cfg):
         pos_rep = np.repeat(train_triples[order], cfg.negatives, axis=0)
         negatives = sample_negatives(pos_rep, known, neg_rng)
         total = 0.0
-        bs = cfg.batch_size * cfg.negatives
+        bs = BATCH_SIZE * cfg.negatives
         for start in range(0, len(pos_rep), bs):
             pos = pos_rep[start : start + bs]
             neg = negatives[start : start + bs]

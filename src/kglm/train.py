@@ -52,7 +52,7 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
             idx = order[start : start + bs]
             batch = pack_batch([usable[i] for i in idx], dtype=config.dtype)
             rng = seeds.derived_rng(config.seed, seeds.DROPOUT, epoch, bi)
-            result = bilm_forward(batch, params, config, mode="train", rng=rng)
+            result = bilm_forward(batch, params, config, rng=rng)
             if not np.isfinite(result.loss):
                 raise RuntimeError(
                     f"non-finite training loss {result.loss} at epoch {epoch}, batch {bi + 1} of {n_batches}; "

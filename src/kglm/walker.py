@@ -47,23 +47,14 @@ class WalkConfig:
 
 @dataclass
 class Chain:
-    """One walk: entity ids and the relation ids between them.
-
-    ``dead_end`` marks chains truncated before reaching the configured
-    length because some entity had no outgoing edges.
-    """
+    """One walk: entity ids and the relation ids between them."""
 
     entities: np.ndarray
     relations: np.ndarray
-    dead_end: bool = False
 
     def __post_init__(self):
         if len(self.entities) != len(self.relations) + 1:
             raise ValueError("chain must alternate entities and relations")
-
-    @property
-    def n_tokens(self):
-        return len(self.entities) + len(self.relations)
 
     def surfaces(self, graph):
         out = []
@@ -138,7 +129,7 @@ def generate_corpus(graph, config, out_path=None):
         1.0 / config.q,
     )
     chains = [
-        Chain(entities=ents[i, : k + 1].copy(), relations=rels[i, :k].copy(), dead_end=k < n_steps)
+        Chain(entities=ents[i, : k + 1].copy(), relations=rels[i, :k].copy())
         for i, k in enumerate(steps.tolist())
     ]
     truncated = int(np.count_nonzero(steps < n_steps))

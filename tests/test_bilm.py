@@ -66,7 +66,7 @@ class TestForward:
         params.sm_rel_W[:] = 0.0
         params.sm_rel_b[:] = 0.0
         batch = random_batch(np.random.default_rng(0), 3, 2)
-        result = bilm_forward(batch, params, config, mode="eval")
+        result = bilm_forward(batch, params, config)
         expected = np.log(3.0) + np.log(2.0)
         assert result.loss == pytest.approx(expected, abs=1e-9)
         assert result.loss_fwd == pytest.approx(expected, abs=1e-9)
@@ -81,7 +81,7 @@ class TestForward:
             layer.b[:] = 0.0
             layer.Wp[:] = 0.0
         batch = random_batch(np.random.default_rng(1), 6, 4)
-        result = bilm_forward(batch, params, config, mode="eval")
+        result = bilm_forward(batch, params, config)
         assert np.array_equal(result.states.fwd[1], result.states.fwd[0])
         assert np.array_equal(result.states.bwd[1], result.states.bwd[0])
 
@@ -92,7 +92,7 @@ class TestForward:
             for layer in layers:
                 layer.Wp *= 100.0  # push projections far past the range
         batch = random_batch(np.random.default_rng(2), 6, 4)
-        result = bilm_forward(batch, params, config, mode="eval")
+        result = bilm_forward(batch, params, config)
         for arr in (result.states.fwd, result.states.bwd):
             assert arr.min() >= -3.0 and arr.max() <= 3.0
 
@@ -106,7 +106,7 @@ class TestForward:
         params = init_params(config, 9, 5)
         params.sm_ent_b[:] = np.random.default_rng(10).normal(size=9)
         batch = random_batch(np.random.default_rng(11), 9, 5, n_seqs=7)
-        result = bilm_forward(batch, params, config, mode="train", rng=np.random.default_rng(12))
+        result = bilm_forward(batch, params, config, rng=np.random.default_rng(12))
         ev = batch.mask[1:].reshape(-1)
         sums = []
         for top, reverse in ((result.states.fwd[-1], False), (result.states.bwd[-1], True)):
@@ -122,21 +122,12 @@ class TestForward:
         assert result.loss_fwd == pytest.approx(sums[0] / ev.sum(), rel=1e-6)
         assert result.loss_bwd == pytest.approx(sums[1] / ev.sum(), rel=1e-6)
 
-    def test_eval_mode_has_no_cache(self):
-        config = small_config()
-        params = init_params(config, 4, 3)
-        batch = random_batch(np.random.default_rng(4), 4, 3)
-        result = bilm_forward(batch, params, config, mode="eval")
-        assert result.cache is None
-        with pytest.raises(RuntimeError, match="train-mode"):
-            bilm_backward(result, params, config)
-
     def test_train_with_dropout_requires_rng(self):
         config = small_config(dropout=0.5)
         params = init_params(config, 4, 3)
         batch = random_batch(np.random.default_rng(5), 4, 3)
         with pytest.raises(ValueError, match="rng"):
-            bilm_forward(batch, params, config, mode="train")
+            bilm_forward(batch, params, config)
 
 
 class TestSoftmaxNll:
@@ -168,10 +159,10 @@ class TestSharing:
         params = init_params(config, 5, 4)
         rng = np.random.default_rng(6)
         batch = random_batch(rng, 5, 4)
-        base = bilm_forward(batch, params, config, mode="eval")
+        base = bilm_forward(batch, params, config)
         eid = int(batch.ents[0, 0])
         params.ent_emb[eid, 0] += 0.25
-        moved = bilm_forward(batch, params, config, mode="eval")
+        moved = bilm_forward(batch, params, config)
         assert moved.loss_fwd != base.loss_fwd
         assert moved.loss_bwd != base.loss_bwd
 
@@ -179,9 +170,9 @@ class TestSharing:
         config = small_config()
         params = init_params(config, 5, 4)
         batch = random_batch(np.random.default_rng(7), 5, 4)
-        base = bilm_forward(batch, params, config, mode="eval")
+        base = bilm_forward(batch, params, config)
         params.sm_ent_b[0] += 1.0
-        moved = bilm_forward(batch, params, config, mode="eval")
+        moved = bilm_forward(batch, params, config)
         assert moved.loss_fwd != base.loss_fwd
         assert moved.loss_bwd != base.loss_bwd
 
@@ -189,7 +180,7 @@ class TestSharing:
         config = small_config()
         params = init_params(config, 5, 4)
         batch = random_batch(np.random.default_rng(8), 5, 4)
-        result = bilm_forward(batch, params, config, mode="train")
+        result = bilm_forward(batch, params, config)
         grads = bilm_backward(result, params, config)
         # embeddings of used tokens must receive gradient
         used = np.unique(batch.ents[batch.mask > 0])
@@ -205,7 +196,7 @@ class TestGradients:
         layer.b[:] = 20.0  # saturate gates; cell and hc strictly positive
         layer.Wp[:] = np.abs(layer.Wp) * 1000.0 + 1.0  # projection far beyond the clip
         batch = random_batch(np.random.default_rng(9), 4, 3)
-        result = bilm_forward(batch, params, config, mode="train")
+        result = bilm_forward(batch, params, config)
         grads = bilm_backward(result, params, config)
         assert np.array_equal(grads["fwd0.Wp"], np.zeros_like(layer.Wp))
         assert np.array_equal(grads["fwd0.Wx"], np.zeros_like(layer.Wx))
@@ -222,7 +213,7 @@ class TestGradients:
         config = small_config()
         params = init_params(config, 5, 4)
         batch = random_batch(np.random.default_rng(15), 5, 4)
-        result = bilm_forward(batch, params, config, mode="train")
+        result = bilm_forward(batch, params, config)
         bilm_backward(result, params, config)
         with pytest.raises(RuntimeError, match="already used by bilm_backward"):
             bilm_backward(result, params, config)

@@ -115,13 +115,25 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "source,key,value",
         [
-            pytest.param(source, key, value, id=source if key == "scorer_dim" else f"{source}-{key}")
-            for key, value in [("scorer_dim", "-3"), ("scorer_epochs", "-1"), ("negatives", "0"), ("margin", "0.0")]
+            pytest.param(source, key, value, id=f"{source}-{name}" if name else source)
+            for key, value, name in [
+                ("scorer_dim", "-3", ""),
+                ("scorer_epochs", "-1", "scorer_epochs"),
+                ("negatives", "0", "negatives"),
+                ("margin", "0.0", "margin"),
+                ("lr", "-1", "lr"),
+                ("lr", "nan", "lr-nan"),
+                ("scorer_lr", "-1", "scorer_lr"),
+                ("scorer_lr", "nan", "scorer_lr-nan"),
+                ("clip", "0", "clip"),
+                ("clip", "inf", "clip-inf"),
+                ("checkpoint_interval", "-1", "checkpoint_interval"),
+            ]
             for source in ("flag", "file")
         ],
     )
     def test_negative_scorer_dim_rejected(self, tmp_path, source, key, value):
-        # every scorer bound is checked at parse time, under its RunConfig key
+        # every bound is checked at parse time, under its RunConfig key
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f"{key}: {value}"):
@@ -239,6 +251,19 @@ class TestDispatch:
             assert main([sub, *bad]) == 1, sub
             err = capsys.readouterr().err
             assert "embeddings.entities.vec" in err and "not the dataset vocabulary" in err
+
+    def test_export_names_missing_input(self, tiny_dataset, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        flags = tiny_flags(tiny_dataset, out)
+        capsys.readouterr()
+        assert main(["export", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"no corpus at {os.path.join(out, 'corpus.txt')}; run the walk stage first" in err
+        assert main(["walk", *flags]) == 0
+        capsys.readouterr()
+        assert main(["export", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"no checkpoint at {os.path.join(out, 'model.ckpt')}; run the train stage first" in err
 
     def test_stale_checkpoint_vocab_detected(self, tiny_dataset, tmp_path):
         out = str(tmp_path / "run")

@@ -118,10 +118,9 @@ class TestAggregate:
     def test_single_occurrence_equals_contextual_vector(self):
         config, params = make_model()
         chains = [chain([0, 1, 2], [0, 1])]
-        lam = np.array([0.6, 0.4])
-        table = aggregate_static(chains, params, config, lam)
+        table = aggregate_static(chains, params, config)
         states = contextual_reps(chains[0], params, config)
-        vecs = combine(states, lam)
+        vecs = combine(states, np.full(2, 0.5))
         np.testing.assert_allclose(table.entity_vecs[1], vecs[1], atol=1e-12)
         assert table.entity_counts[1] == 1
 
@@ -138,8 +137,7 @@ class TestAggregate:
         config, params = make_model(n_ent=6, n_rel=4)
         # the 1-token chain has no prediction event but is still pooled
         chains = [chain([0, 1, 2], [0, 1]), chain([2, 3], [2]), chain([5], []), chain([1, 4, 0], [1, 0])]
-        lam = np.array([0.25, 0.75])
-        table = aggregate_static(chains, params, config, lam)
+        table = aggregate_static(chains, params, config)
 
         # oracle: accumulate combined vectors per item one position at a time
         dim = table.dim
@@ -150,7 +148,7 @@ class TestAggregate:
         eos = 3
         for c in chains:
             states = contextual_reps(c, params, config)
-            vecs = combine(states, lam)
+            vecs = combine(states, np.full(2, 0.5))
             rels = list(c.relations) + [eos]
             for t, (e, r) in enumerate(zip(c.entities, rels)):
                 sums_e[e] += vecs[t]
@@ -165,7 +163,7 @@ class TestAggregate:
             if counts_r[r]:
                 np.testing.assert_allclose(table.relation_vecs[r], sums_r[r] / counts_r[r], atol=1e-10)
 
-    def test_chunk_scatter_equals_per_sequence_loop(self):
+    def test_chunk_scatter_equals_per_sequence_loop(self, monkeypatch):
         # reference: one np.add.at per sequence over the same batched
         # states; the chunk scatter visits positions sequence-major, so
         # every float sum must come out identical (f64 states, so the
@@ -173,7 +171,8 @@ class TestAggregate:
         config, params = make_model(n_ent=6, n_rel=4)
         rng = np.random.default_rng(0)
         chains = [chain(rng.integers(6, size=n), rng.integers(3, size=n - 1)) for n in (3, 1, 5, 2, 4, 3, 5)]
-        layered = aggregate_layered(chains, params, config, chunk_size=3)
+        monkeypatch.setattr("kglm.extract.CHUNK_SIZE", 3)
+        layered = aggregate_layered(chains, params, config)
         sums = {"ent": [np.zeros_like(layered.ent_x), np.zeros_like(layered.ent_layers), np.zeros(6, np.int64)],
                 "rel": [np.zeros_like(layered.rel_x), np.zeros_like(layered.rel_layers), np.zeros(4, np.int64)]}
         for start in range(0, len(chains), 3):
@@ -192,16 +191,6 @@ class TestAggregate:
             np.testing.assert_array_equal(getattr(layered, f"{key}_counts"), counts)
             np.testing.assert_array_equal(getattr(layered, f"{key}_layers"), layers / div[:, :, None])
             np.testing.assert_array_equal(getattr(layered, f"{key}_x")[seen], (x / div)[seen])
-
-    def test_layered_flatten_consistent_with_static(self):
-        config, params = make_model()
-        chains = [chain([0, 1, 2], [0, 1]), chain([3, 4], [2])]
-        lam = np.array([0.1, 0.9])
-        layered = aggregate_layered(chains, params, config)
-        ent, rel = layered.flatten(lam)
-        static = aggregate_static(chains, params, config, lam)
-        np.testing.assert_allclose(ent, static.entity_vecs, atol=1e-12)
-        np.testing.assert_allclose(rel, static.relation_vecs, atol=1e-12)
 
 
 class TestExport:

@@ -428,8 +428,6 @@ class TestInitModes:
         s2 = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear")
         np.testing.assert_array_equal(s1.ent, s2.ent)
         np.testing.assert_allclose(s1.ent.mean(axis=0), 0.0, atol=1e-12)
-        raw = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear", standardize=False)
-        np.testing.assert_array_equal(raw.ent, table.entity_vecs)
 
     def test_projection_to_smaller_dim(self):
         config, params, chains = self._table()

@@ -6,7 +6,7 @@ import pytest
 from kglm.bilm import pack_batch, tokenize_chain
 from kglm.datasets import make_clustered_kg
 from kglm.graph import build_graph
-from kglm.model import ModelConfig, init_params
+from kglm.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kglm.train import train_bilm
 from kglm.walker import Chain, WalkConfig, generate_corpus
 
@@ -98,3 +98,21 @@ class TestTrain:
         path = tmp_path / "model.ckpt"
         train_bilm(chains[:60], graph, small_config(epochs=1), checkpoint_path=str(path))
         assert path.exists() and path.stat().st_size > 0
+
+    def test_mid_training_checkpoint_holds_that_epochs_params(self, tmp_path, monkeypatch):
+        graph, chains = small_corpus()
+        saved = []
+
+        def save_and_read_back(path, *args):
+            save_checkpoint(path, *args)
+            saved.append(load_checkpoint(path)[0].flat())
+
+        monkeypatch.setattr("kglm.train.save_checkpoint", save_and_read_back)
+        path = str(tmp_path / "model.ckpt")
+        train_bilm(chains[:60], graph, small_config(epochs=2), checkpoint_path=path, checkpoint_interval=1)
+        assert len(saved) == 3  # after epochs 1 and 2, then the final save
+        # the header records the configured epochs, so compare the arrays
+        one_epoch, _ = train_bilm(chains[:60], graph, small_config(epochs=1))
+        for name, arr in one_epoch.flat().items():
+            np.testing.assert_array_equal(saved[0][name], arr)
+        assert not np.array_equal(saved[0]["ent_emb"], saved[2]["ent_emb"])
