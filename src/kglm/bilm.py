@@ -6,7 +6,9 @@ from the prefix, the backward stack the previous pair from the suffix,
 and both share the embedding tables and the factorized softmax heads
 (independent entity and relation distributions per position). The loss
 is the mean negative log likelihood per predicted position across both
-directions.
+directions. The forward pass takes the heads' gradients where it makes
+their probabilities, so no (M, |V|) matrix outlives one direction's
+heads, and backward runs only the LSTM stacks and the embedding scatter.
 """
 
 from dataclasses import dataclass
@@ -152,33 +154,44 @@ def _direction_forward(x, mask, layers, config, reverse, train, rng):
     return outs, {"caches": caches, "drop_masks": drop_masks, "res_pre": res_pre}
 
 
-def _direction_loss(top, batch, params, reverse):
-    """Cross-entropy of one direction's top states against the shifted
-    targets. Event t of the forward direction predicts token t+1; the
-    backward direction predicts token t-1."""
+def _direction_heads(top, batch, params, reverse, n_events, head_grads):
+    """Both softmax heads of one direction, forward and backward in one
+    call: the NLL sum over the direction's events, and ``dtop`` (T, B, P),
+    the gradient of the mean loss at its top states. The head blocks'
+    gradients are added into ``head_grads``. Event t of the forward
+    direction predicts token t+1; the backward direction predicts token
+    t-1. The (M, |V|) probabilities are dropped on return."""
     T, B, P = top.shape
-    if reverse:
-        states = top[1:]
-        tgt_e, tgt_r = batch.ents[:-1], batch.rels[:-1]
-    else:
-        states = top[:-1]
-        tgt_e, tgt_r = batch.ents[1:], batch.rels[1:]
+    src, tgt = (slice(1, None), slice(None, -1)) if reverse else (slice(None, -1), slice(1, None))
     ev = batch.mask[1:].reshape(-1)
-    M = (T - 1) * B
-    S = states.reshape(M, P)
-    te = tgt_e.reshape(-1)
-    tr = tgt_r.reshape(-1)
+    S = top[src].reshape(-1, P)
+    te = batch.ents[tgt].reshape(-1)
+    tr = batch.rels[tgt].reshape(-1)
     probs_e, nll_e = _head(S, params.sm_ent_W, params.sm_ent_b, te)
     probs_r, nll_r = _head(S, params.sm_rel_W, params.sm_rel_b, tr)
     total = float(((nll_e + nll_r) * ev).sum())
-    return total, {
-        "probs_e": probs_e,
-        "probs_r": probs_r,
-        "tgt_e": te,
-        "tgt_r": tr,
-        "ev": ev,
-        "states_flat": S,
-    }
+
+    # Each row's logit gradient is (probs - onehot) * ev / n_events. The
+    # probabilities become (probs - onehot) in place, and the row weights
+    # go on the (M, P) side of each product, never over (M, |V|).
+    rows = np.arange(len(S))
+    weight = (ev / n_events).astype(probs_e.dtype)
+    dlog_e = probs_e
+    dlog_e[rows, te] -= 1.0
+    dlog_r = probs_r
+    dlog_r[rows, tr] -= 1.0
+    Sw = S * weight[:, None]
+    head_grads["sm_ent_W"] += Sw.T @ dlog_e
+    head_grads["sm_ent_b"] += weight @ dlog_e
+    head_grads["sm_rel_W"] += Sw.T @ dlog_r
+    head_grads["sm_rel_b"] += weight @ dlog_r
+
+    dS = dlog_e @ params.sm_ent_W.T
+    dS += dlog_r @ params.sm_rel_W.T
+    dS *= weight[:, None]
+    dtop = np.zeros_like(top)
+    dtop[src] = dS.reshape(T - 1, B, P)
+    return total, dtop
 
 
 def bilm_states(batch, params, config, train=False, rng=None):
@@ -196,16 +209,19 @@ def bilm_states(batch, params, config, train=False, rng=None):
 
 
 def bilm_forward(batch, params, config, rng=None):
-    """Full training forward pass, with dropout drawn from ``rng``; the
-    returned cache supports one :func:`bilm_backward`."""
+    """Full training forward pass, with dropout drawn from ``rng``. The
+    softmax heads' gradients are taken here, where their probabilities
+    are made; the returned cache holds them and each direction's
+    gradient at its top states, for :func:`bilm_backward`."""
     if config.dropout > 0.0 and rng is None:
         raise ValueError("a forward pass with dropout needs an rng")
     states, stack_caches = bilm_states(batch, params, config, train=True, rng=rng)
 
-    sum_f, loss_cache_f = _direction_loss(states.fwd[-1], batch, params, reverse=False)
-    sum_b, loss_cache_b = _direction_loss(states.bwd[-1], batch, params, reverse=True)
     n_dir = float(batch.mask[1:].sum())
     n_events = int(2 * n_dir)
+    head_grads = {name: np.zeros_like(arr) for name, arr in params.flat().items() if name.startswith("sm_")}
+    sum_f, dtop_f = _direction_heads(states.fwd[-1], batch, params, False, n_events, head_grads)
+    sum_b, dtop_b = _direction_heads(states.bwd[-1], batch, params, True, n_events, head_grads)
     loss = (sum_f + sum_b) / n_events
     return ForwardResult(
         loss=loss,
@@ -217,9 +233,8 @@ def bilm_forward(batch, params, config, rng=None):
             "batch": batch,
             "x": states.x,
             **stack_caches,
-            "loss_f": loss_cache_f,
-            "loss_b": loss_cache_b,
-            "n_events": n_events,
+            "dtop": {"fwd": dtop_f, "bwd": dtop_b},
+            "head_grads": head_grads,
         },
     )
 
@@ -249,54 +264,15 @@ def _direction_backward(tag, dtop, dir_cache, layers, config, grads):
 
 
 def bilm_backward(result, params, config):
-    """Gradients of the mean loss for every parameter block. It
-    overwrites the forward result's cached head probabilities, so each
-    forward result takes one backward."""
+    """Gradients of the mean loss for every parameter block, from the
+    forward result's cache, which it leaves unchanged."""
     cache = result.cache
-    if cache.get("heads_consumed"):
-        raise RuntimeError(
-            "this forward result was already used by bilm_backward, which overwrites "
-            "its softmax probabilities; run bilm_forward again"
-        )
-    cache["heads_consumed"] = True
     batch = cache["batch"]
-    T, B = batch.ents.shape
-    n_events = cache["n_events"]
     grads = {name: np.zeros_like(arr) for name, arr in params.flat().items()}
+    grads.update({name: g.copy() for name, g in cache["head_grads"].items()})
     dx = np.zeros_like(cache["x"])
-
-    for tag, reverse in (("fwd", False), ("bwd", True)):
-        lc = cache["loss_f" if tag == "fwd" else "loss_b"]
-        M = lc["probs_e"].shape[0]
-        rows = np.arange(M)
-        # Each row's logit gradient is (probs - onehot) * ev / n_events. The
-        # cached probabilities become (probs - onehot) in place, and the row
-        # weights go on the (M, P) side of each product, never over (M, |E|).
-        weight = (lc["ev"] / n_events).astype(lc["probs_e"].dtype)
-        dlog_e = lc["probs_e"]
-        dlog_e[rows, lc["tgt_e"]] -= 1.0
-        dlog_r = lc["probs_r"]
-        dlog_r[rows, lc["tgt_r"]] -= 1.0
-
-        S = lc["states_flat"]
-        Sw = S * weight[:, None]
-        grads["sm_ent_W"] += Sw.T @ dlog_e
-        grads["sm_ent_b"] += weight @ dlog_e
-        grads["sm_rel_W"] += Sw.T @ dlog_r
-        grads["sm_rel_b"] += weight @ dlog_r
-
-        dS = dlog_e @ params.sm_ent_W.T
-        dS += dlog_r @ params.sm_rel_W.T
-        dS *= weight[:, None]
-        P = dS.shape[1]
-        dtop = np.zeros((T, B, P), dtype=dS.dtype)
-        if reverse:
-            dtop[1:] = dS.reshape(T - 1, B, P)
-        else:
-            dtop[:-1] = dS.reshape(T - 1, B, P)
-
-        layers = params.fwd if tag == "fwd" else params.bwd
-        dx += _direction_backward(tag, dtop, cache[tag], layers, config, grads)
+    for tag, layers in (("fwd", params.fwd), ("bwd", params.bwd)):
+        dx += _direction_backward(tag, cache["dtop"][tag], cache[tag], layers, config, grads)
 
     dx *= batch.mask[:, :, None]
     d_e = params.ent_emb.shape[1]

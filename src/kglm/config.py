@@ -31,15 +31,24 @@ _CHOICES = {
 # Numeric fields with a range: (test, what the message expects). A NaN
 # fails every test.
 _FINITE_POSITIVE = (lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
+_AT_LEAST_ZERO = (lambda v: v >= 0, "an integer >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "an integer >= 1")
 _BOUNDS = {
+    "layers": _AT_LEAST_ONE,
+    "hidden": _AT_LEAST_ONE,
+    "proj": _AT_LEAST_ONE,
+    "entity_dim": _AT_LEAST_ONE,
+    "relation_dim": _AT_LEAST_ONE,
+    "batch": _AT_LEAST_ONE,
     "scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
-    "scorer_epochs": (lambda v: v >= 0, "an integer >= 0"),
-    "negatives": (lambda v: v >= 1, "an integer >= 1"),
+    "scorer_epochs": _AT_LEAST_ZERO,
+    "negatives": _AT_LEAST_ONE,
     "margin": (lambda v: v > 0, "a number > 0"),
     "lr": _FINITE_POSITIVE,
     "scorer_lr": _FINITE_POSITIVE,
     "clip": _FINITE_POSITIVE,
-    "checkpoint_interval": (lambda v: v >= 0, "an integer >= 0"),
+    "checkpoint_interval": _AT_LEAST_ZERO,
+    "seed": _AT_LEAST_ZERO,
 }
 
 

@@ -155,8 +155,9 @@ def aggregate_static(chains, params, config):
 def _write_vec(path, names, vecs):
     with atomic_open(path) as fh:
         fh.write(f"{len(names)} {vecs.shape[1]}\n")
-        for name, row in zip(names, vecs):
-            fh.write(name + " " + " ".join(f"{v:.9g}" for v in row) + "\n")
+        fmt = " ".join(["%.9g"] * vecs.shape[1])
+        for name, row in zip(names, vecs.tolist()):
+            fh.write(name + " " + fmt % tuple(row) + "\n")
 
 
 def _vec_paths(base_path):

@@ -175,15 +175,33 @@ def save_checkpoint(path, params, config, entities, relations):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (params, config, entities, relations)."""
+    """Read a checkpoint back; returns (params, config, entities,
+    relations). A malformed file raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").rstrip("\n")
+        magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        n = int(fh.readline().decode("ascii"))
-        header = json.loads(fh.read(n).decode("utf-8"))
+        try:
+            n = int(fh.readline())
+        except ValueError:
+            raise ValueError(f"{path}: the header length line is not an integer") from None
+        try:
+            header = json.loads(fh.read(n).decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: the header is not valid JSON ({exc})") from None
         payload = fh.read()
-    manifest = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"])) for e in header["arrays"]]
+    keys = ("config", "entities", "relations", "arrays")
+    missing = [k for k in keys if k not in header] if isinstance(header, dict) else list(keys)
+    if missing:
+        raise ValueError(f"{path}: the header has no {', '.join(missing)}")
+    try:
+        config = ModelConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model config in the header ({exc})") from None
+    try:
+        manifest = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"])) for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad array list in the header ({exc!r})") from None
     expected = sum(math.prod(shape) * dt.itemsize for _, dt, shape in manifest)
     if len(payload) != expected:
         raise ValueError(
@@ -195,28 +213,20 @@ def load_checkpoint(path):
         count = math.prod(shape)
         arrays[name] = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape).copy()
         offset += count * dt.itemsize
-    config = ModelConfig(**header["config"])
-    L = config.num_layers
-    fwd = [
-        LSTMLayerParams(
-            Wx=arrays[f"fwd{i}.Wx"], Wh=arrays[f"fwd{i}.Wh"], b=arrays[f"fwd{i}.b"], Wp=arrays[f"fwd{i}.Wp"]
-        )
-        for i in range(L)
-    ]
-    bwd = [
-        LSTMLayerParams(
-            Wx=arrays[f"bwd{i}.Wx"], Wh=arrays[f"bwd{i}.Wh"], b=arrays[f"bwd{i}.b"], Wp=arrays[f"bwd{i}.Wp"]
-        )
-        for i in range(L)
-    ]
+
+    def take(name):
+        if name not in arrays:
+            raise ValueError(f"{path}: no array {name!r} (the header has num_layers={config.num_layers})")
+        return arrays[name]
+
+    layers = {
+        tag: [
+            LSTMLayerParams(**{k: take(f"{tag}{i}.{k}") for k in ("Wx", "Wh", "b", "Wp")})
+            for i in range(config.num_layers)
+        ]
+        for tag in ("fwd", "bwd")
+    }
     params = ModelParams(
-        ent_emb=arrays["ent_emb"],
-        rel_emb=arrays["rel_emb"],
-        fwd=fwd,
-        bwd=bwd,
-        sm_ent_W=arrays["sm_ent_W"],
-        sm_ent_b=arrays["sm_ent_b"],
-        sm_rel_W=arrays["sm_rel_W"],
-        sm_rel_b=arrays["sm_rel_b"],
+        **layers, **{k: take(k) for k in ("ent_emb", "rel_emb", "sm_ent_W", "sm_ent_b", "sm_rel_W", "sm_rel_b")}
     )
     return params, config, header["entities"], header["relations"]

@@ -207,13 +207,46 @@ class TestGradients:
         worst, per_block = run_gradcheck(seed=11, n_coords=44)
         assert worst < GRADCHECK_TOLERANCE, per_block
 
-    def test_second_backward_on_one_forward_rejected(self):
-        # backward turns the cached softmax probabilities into logit
-        # gradients in place; reusing them would give wrong gradients
+    def test_second_backward_on_one_forward_is_identical(self):
+        # backward reads the forward cache and leaves it unchanged
         config = small_config()
         params = init_params(config, 5, 4)
         batch = random_batch(np.random.default_rng(15), 5, 4)
         result = bilm_forward(batch, params, config)
-        bilm_backward(result, params, config)
-        with pytest.raises(RuntimeError, match="already used by bilm_backward"):
-            bilm_backward(result, params, config)
+        first = bilm_backward(result, params, config)
+        second = bilm_backward(result, params, config)
+        assert first.keys() == second.keys() == params.flat().keys()
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
+
+    def test_cache_holds_no_vocabulary_sized_rows(self):
+        # 13 entities: no other dimension of this model or batch is 13, so
+        # an axis of that size can only be a vocabulary axis. The only
+        # arrays with one are the entity head's gradients, shaped like the
+        # head itself; no (M, |E|) probability matrix is kept for backward.
+        n_ent = 13
+        config = small_config()
+        params = init_params(config, n_ent, 4)
+        batch = random_batch(np.random.default_rng(16), n_ent, 4)
+        result = bilm_forward(batch, params, config)
+
+        def arrays(node, path):
+            if isinstance(node, np.ndarray):
+                yield path, node
+            elif isinstance(node, dict):
+                for k, v in node.items():
+                    yield from arrays(v, f"{path}.{k}")
+            elif isinstance(node, (list, tuple)):
+                for i, v in enumerate(node):
+                    yield from arrays(v, f"{path}[{i}]")
+            elif hasattr(node, "__dataclass_fields__"):
+                for k in node.__dataclass_fields__:
+                    yield from arrays(getattr(node, k), f"{path}.{k}")
+
+        found = list(arrays(result.cache, "cache"))
+        assert len(found) > 20
+        with_vocab_axis = {path: a.shape for path, a in found if n_ent in a.shape}
+        assert with_vocab_axis == {
+            "cache.head_grads.sm_ent_W": params.sm_ent_W.shape,
+            "cache.head_grads.sm_ent_b": params.sm_ent_b.shape,
+        }

@@ -128,6 +128,13 @@ class TestParseConfig:
                 ("clip", "0", "clip"),
                 ("clip", "inf", "clip-inf"),
                 ("checkpoint_interval", "-1", "checkpoint_interval"),
+                ("layers", "0", "layers"),
+                ("hidden", "0", "hidden"),
+                ("proj", "0", "proj"),
+                ("entity_dim", "0", "entity_dim"),
+                ("relation_dim", "0", "relation_dim"),
+                ("batch", "0", "batch"),
+                ("seed", "-1", "seed"),
             ]
             for source in ("flag", "file")
         ],

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,25 @@ class TestExport:
         np.testing.assert_array_equal(rel, vecs_r)
         with pytest.raises(ValueError, match=r"emb\.relations\.vec:5: the surfaces are not the dataset vocabulary"):
             import_embeddings(str(tmp_path / "emb"), ents, rels[:3])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vec_text_is_each_value_formatted_9g(self, tmp_path, dtype):
+        # one format string per row writes what per-value ".9g" would
+        special = [0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0]
+        wide = 10.0 ** np.random.default_rng(17).uniform(-8, 8, size=(6, 8))
+        wide[::2] *= -1
+        with np.errstate(over="ignore"):  # 1e300 is inf in float32
+            ent = np.vstack([special, wide]).astype(dtype)
+        rel = ent[::-1].copy()
+        table = SimpleNamespace(entity_vecs=ent, relation_vecs=rel)
+        ents, rels = [f"e{i}" for i in range(len(ent))], [f"r{i}" for i in range(len(rel))]
+        paths = export_embeddings(table, ents, rels, str(tmp_path / "emb"))
+        for path, names, vecs in zip(paths, (ents, rels), (ent, rel)):
+            expected = f"{len(names)} {vecs.shape[1]}\n" + "".join(
+                name + " " + " ".join(format(v, ".9g") for v in row) + "\n" for name, row in zip(names, vecs)
+            )
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.encode("utf-8")
 
     @pytest.mark.parametrize(
         "text,line,message",

@@ -98,8 +98,42 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"m\.ckpt: the header lists {n} bytes of arrays, found {n - 3}"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "length,edit,message",
+        [
+            pytest.param("twelve", lambda t: t, "the header length line is not an integer", id="length"),
+            pytest.param(None, lambda t: t[:-1], "the header is not valid JSON", id="json"),
+            pytest.param(
+                None,
+                lambda t: t.replace('"config": {', '"config": {"depth": 3, ', 1),
+                "bad model config in the header.*depth",
+                id="config-key",
+            ),
+            pytest.param(None, lambda t: t.replace('"arrays":', '"tensors":', 1), "the header has no arrays", id="arrays"),
+            pytest.param(
+                None,
+                lambda t: t.replace('"num_layers": 2', '"num_layers": 3', 1),
+                r"no array 'fwd2\.Wx' \(the header has num_layers=3\)",
+                id="num-layers",
+            ),
+        ],
+    )
+    def test_malformed_header_names_the_file(self, tmp_path, length, edit, message):
+        # the JSON header is edited (its length line set to ``length``, or
+        # to the edited text's length) and the arrays are left as they are
+        _, _, _, _, path = self._roundtrip(tmp_path, "f32")
+        magic, n, rest = path.read_bytes().split(b"\n", 2)
+        text = edit(rest[: int(n)].decode("utf-8")).encode("utf-8")
+        n_new = (length or str(len(text))).encode("ascii")
+        path.write_bytes(magic + b"\n" + n_new + b"\n" + text + rest[int(n) :])
+        with pytest.raises(ValueError, match=rf"m\.ckpt: {message}"):
+            load_checkpoint(str(path))
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"not a checkpoint\n")
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(str(p))
+        p.write_bytes(b"\x89PNG\r\n")
+        with pytest.raises(ValueError, match=r"x\.ckpt: not a checkpoint file"):
             load_checkpoint(str(p))
