@@ -22,7 +22,7 @@ from .config import ConfigError, add_flags, merge
 from .extract import aggregate_static, export_embeddings, import_embeddings
 from .files import atomic_open
 from .gradcheck import run_gradcheck
-from .graph import load_dataset
+from .graph import build_filter_index, load_dataset
 from .model import load_checkpoint
 from .ranking import (
     format_metrics_table,
@@ -163,7 +163,10 @@ def _trained_scorer(rc, graph, split):
     else:
         # the random control takes the width of the exported table it replaces
         scorer = init_scorer_random(rc.scorer_kind, dim, graph.n_entities, graph.n_relations, rng)
-    train_scorer(scorer, split.train, split.filter_index, rc.scorer_config())
+    # negatives avoid the train triples only: the held-out splits must not
+    # shape the scorer they evaluate
+    known = build_filter_index(graph.n_entities, graph.n_relations, split.train)
+    train_scorer(scorer, split.train, known, rc.scorer_config())
     return scorer
 
 

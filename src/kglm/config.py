@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from . import seeds
 from .model import ModelConfig
 from .scoring import ScorerTrainConfig
-from .walker import WalkConfig
+from .walker import MAX_BIAS, WalkConfig
 
 
 class ConfigError(ValueError):
@@ -189,8 +189,8 @@ _FLAG_HELP = {
     "valid": {"metavar": "PATH"},
     "test": {"metavar": "PATH"},
     "out": {"metavar": "DIR"},
-    "p": {"help": "walk return parameter"},
-    "q": {"help": "walk in-out parameter"},
+    "p": {"help": f"walk return parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
+    "q": {"help": f"walk in-out parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
     "clip": {"help": "projection clip half-range"},
     "init": {"help": "scorer embedding init: learned contextual table or random"},
     "negatives": {"help": "corruptions per positive"},

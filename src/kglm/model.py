@@ -11,6 +11,7 @@ that identical parameters always serialize to identical bytes.
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -174,9 +175,18 @@ def save_checkpoint(path, params, config, entities, relations):
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+def _describe(array):
+    if array is None:
+        return "nothing"
+    name, dtype, shape = array
+    return f"{name!r} {dtype.name} {shape}"
+
+
 def load_checkpoint(path):
     """Read a checkpoint back; returns (params, config, entities,
-    relations). A malformed file raises ValueError naming ``path``."""
+    relations). A malformed file, or one whose arrays are not the
+    names, dtypes and shapes, in order, that the header's config and
+    vocabulary lengths make, raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
@@ -194,6 +204,8 @@ def load_checkpoint(path):
     missing = [k for k in keys if k not in header] if isinstance(header, dict) else list(keys)
     if missing:
         raise ValueError(f"{path}: the header has no {', '.join(missing)}")
+    if not all(isinstance(header[k], list) for k in ("entities", "relations")):
+        raise ValueError(f"{path}: the header's entities and relations must be lists")
     try:
         config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as exc:
@@ -202,6 +214,13 @@ def load_checkpoint(path):
         manifest = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"])) for e in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad array list in the header ({exc!r})") from None
+    want = init_params(config, len(header["entities"]), len(header["relations"])).flat()
+    for i, (got, exp) in enumerate(zip_longest(manifest, [(k, a.dtype, a.shape) for k, a in want.items()])):
+        if got != exp:
+            raise ValueError(
+                f"{path}: array {i} of the header is {_describe(got)}, but its config and vocabulary "
+                f"make {_describe(exp)}"
+            )
     expected = sum(math.prod(shape) * dt.itemsize for _, dt, shape in manifest)
     if len(payload) != expected:
         raise ValueError(
@@ -213,20 +232,14 @@ def load_checkpoint(path):
         count = math.prod(shape)
         arrays[name] = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape).copy()
         offset += count * dt.itemsize
-
-    def take(name):
-        if name not in arrays:
-            raise ValueError(f"{path}: no array {name!r} (the header has num_layers={config.num_layers})")
-        return arrays[name]
-
     layers = {
         tag: [
-            LSTMLayerParams(**{k: take(f"{tag}{i}.{k}") for k in ("Wx", "Wh", "b", "Wp")})
+            LSTMLayerParams(**{k: arrays[f"{tag}{i}.{k}"] for k in ("Wx", "Wh", "b", "Wp")})
             for i in range(config.num_layers)
         ]
         for tag in ("fwd", "bwd")
     }
     params = ModelParams(
-        **layers, **{k: take(k) for k in ("ent_emb", "rel_emb", "sm_ent_W", "sm_ent_b", "sm_rel_W", "sm_rel_b")}
+        **layers, **{k: arrays[k] for k in ("ent_emb", "rel_emb", "sm_ent_W", "sm_ent_b", "sm_rel_W", "sm_rel_b")}
     )
     return params, config, header["entities"], header["relations"]

@@ -3,14 +3,13 @@
 A walk alternates entities and relations, ``e1 r1 e2 ... ek``, and is
 biased by a return parameter p and an in-out parameter q: stepping back
 to the previous node weighs 1/p, stepping to one of its neighbors 1,
-and stepping further away 1/q. Each (start entity, walk index) pair
-owns an RNG stream derived from the corpus seed, so a chain depends only
-on the seed, the graph and its own (entity, walk) pair. All walks are
-sampled together by :func:`kglm.kernels.walk_steps`.
+and stepping further away 1/q. All walks are sampled together by
+:func:`kglm.kernels.walk_steps` from the one stream
+``derived_rng(seed, WALKS)``, so the corpus depends on the seed, the
+graph and the walk settings.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +19,11 @@ from . import kernels, seeds
 from .files import atomic_open
 
 logger = logging.getLogger(__name__)
+
+# p and q lie in [1/MAX_BIAS, MAX_BIAS], so the largest step weight is at
+# most MAX_BIAS**2 times the smallest: the rejection sampler's bound on
+# the expected proposals per step.
+MAX_BIAS = 16.0
 
 
 @dataclass
@@ -33,8 +37,8 @@ class WalkConfig:
     def __post_init__(self):
         for name in ("p", "q"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value) and math.isfinite(1.0 / value)):
-                raise ValueError(f"{name} must be positive, finite and have a finite reciprocal, got {value!r}")
+            if not 1.0 / MAX_BIAS <= value <= MAX_BIAS:
+                raise ValueError(f"{name} must be in [1/{MAX_BIAS:g}, {MAX_BIAS:g}], got {value!r}")
         if self.walk_length < 3 or self.walk_length % 2 == 0:
             raise ValueError("walk_length must be odd and >= 3")
         if self.walks_per_node < 1:
@@ -110,13 +114,6 @@ def generate_corpus(graph, config, out_path=None):
     chain (a start with no out-edges yields a single-entity chain)."""
     n_steps = config.n_steps
     starts = np.repeat(np.arange(graph.n_entities, dtype=np.int64), config.walks_per_node)
-    uniforms = np.array(
-        [
-            seeds.derived_rng(config.seed, seeds.WALKS, e, w).random(n_steps)
-            for e in range(graph.n_entities)
-            for w in range(config.walks_per_node)
-        ]
-    )
     ents, rels, steps = kernels.walk_steps(
         graph.adj_off,
         graph.adj_rel,
@@ -124,7 +121,8 @@ def generate_corpus(graph, config, out_path=None):
         graph.nbr_off,
         graph.nbr_sorted,
         starts,
-        uniforms,
+        n_steps,
+        seeds.derived_rng(config.seed, seeds.WALKS),
         1.0 / config.p,
         1.0 / config.q,
     )

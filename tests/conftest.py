@@ -69,15 +69,15 @@ def parse_config(config_path, flag_list):
     return merge(ns)
 
 
-def step(graph, prev, cur, p, q, u):
-    """One second-order step from ``cur`` (``prev=None``: no history)
-    per uniform in the array ``u``, all through one call of
-    ``kernels.step_choice``, the kernel ``walk_steps`` runs. Returns the
-    (relation ids, neighbor ids) arrays of the chosen edges."""
-    index = kernels.walk_index(graph.adj_off, graph.adj_nbr, graph.nbr_off, graph.nbr_sorted)
-    prev = np.full(len(u), -1 if prev is None else prev, dtype=np.int64)
-    cur = np.full(len(u), cur, dtype=np.int64)
-    edge = kernels.step_choice(index, prev, cur, u, 1.0 / p, 1.0 / q)
+def step(graph, prev, cur, p, q, n, rng):
+    """``n`` second-order steps from ``cur`` (``prev=None``: no history),
+    all through one call of ``kernels.step_choice``, the kernel
+    ``walk_steps`` runs, drawing from ``rng``. Returns the (relation ids,
+    neighbor ids) arrays of the chosen edges."""
+    keys = kernels.neighbor_keys(graph.nbr_off, graph.nbr_sorted)
+    prev = np.full(n, -1 if prev is None else prev, dtype=np.int64)
+    cur = np.full(n, cur, dtype=np.int64)
+    edge = kernels.step_choice(graph.adj_off, graph.adj_nbr, keys, prev, cur, rng, 1.0 / p, 1.0 / q)
     return graph.adj_rel[edge], graph.adj_nbr[edge]
 
 

@@ -57,7 +57,7 @@ class TestCriterion1Gradients:
 class TestCriterion2WalkDistribution:
     def _empirical_tv(self, graph, prev, cur, p, q, n=100_000, seed=99):
         dist = next_step_distribution(prev, cur, graph, p, q)
-        rels, nbrs = step(graph, prev, cur, p, q, np.random.default_rng(seed).random(n))
+        rels, nbrs = step(graph, prev, cur, p, q, n, np.random.default_rng(seed))
         counts = Counter(zip(rels.tolist(), nbrs.tolist()))
         tv = 0.0
         for rel, nbr, pr in zip(dist.rels, dist.nbrs, dist.probs):

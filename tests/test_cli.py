@@ -1,11 +1,13 @@
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from kglm.cli import dispatch, main
+from kglm.cli import _trained_scorer, dispatch, main
 from kglm.config import _CHOICES, ConfigError, RunConfig
 from kglm.datasets import make_clustered_kg, write_split_files
+from kglm.graph import load_dataset
 
 from conftest import parse_config
 
@@ -282,3 +284,25 @@ class TestDispatch:
         paths = write_split_files(str(tmp_path), other, seed=9)
         bad = tiny_flags(paths, out)
         assert main(["export", *bad]) == 1
+
+    def test_scorer_training_reads_only_the_train_split(self, tiny_dataset, tmp_path):
+        # two datasets share the train split and differ in valid and test:
+        # the scorer trained on them must be the same
+        train, valid, test = tiny_dataset
+        out = str(tmp_path / "run")
+        for sub in ("walk", "train", "export"):
+            assert main([sub, *tiny_flags(tiny_dataset, out)]) == 0
+        halves = []
+        for path in (valid, test):
+            lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+            halves.append(str(tmp_path / os.path.basename(path)))
+            with open(halves[-1], "w", encoding="utf-8") as fh:
+                fh.writelines(lines[: len(lines) // 2])
+        scorers = []
+        for paths in (tiny_dataset, (train, *halves)):
+            rc = parse_config(None, tiny_flags(paths, out, extra=["--scorer-epochs", "20"]))
+            graph, split = load_dataset(rc.train, rc.valid, rc.test)
+            scorers.append((graph.entities.items, _trained_scorer(rc, graph, split)))
+        (vocab_a, a), (vocab_b, b) = scorers
+        assert vocab_a == vocab_b
+        assert np.array_equal(a.ent, b.ent) and np.array_equal(a.rel, b.rel)

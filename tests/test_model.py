@@ -112,9 +112,28 @@ class TestCheckpoint:
             pytest.param(None, lambda t: t.replace('"arrays":', '"tensors":', 1), "the header has no arrays", id="arrays"),
             pytest.param(
                 None,
+                lambda t: t.replace('"entities": ["e0", "e1", "e2", "e3", "e4"]', '"entities": 5', 1),
+                "the header's entities and relations must be lists",
+                id="entities",
+            ),
+            pytest.param(
+                None,
                 lambda t: t.replace('"num_layers": 2', '"num_layers": 3', 1),
-                r"no array 'fwd2\.Wx' \(the header has num_layers=3\)",
+                r"array 10 of the header is 'bwd0\.Wx' float32 \(6, 24\), but its config and vocabulary "
+                r"make 'fwd2\.Wx' float32 \(3, 24\)",
                 id="num-layers",
+            ),
+            pytest.param(
+                None,
+                lambda t: t.replace('"num_layers": 2', '"num_layers": 1', 1),
+                r"array 6 of the header is 'fwd1\.Wx' float32 \(3, 24\), but .* make 'bwd0\.Wx' float32 \(6, 24\)",
+                id="fewer-layers",
+            ),
+            pytest.param(
+                None,
+                lambda t: t.replace('"proj_dim": 3', '"proj_dim": 2', 1),
+                r"array 3 of the header is 'fwd0\.Wh' float32 \(3, 24\), but .* make 'fwd0\.Wh' float32 \(2, 24\)",
+                id="proj-dim",
             ),
         ],
     )

@@ -37,50 +37,6 @@ def analytic_oracle(graph, prev, cur, p, q):
     return rels, nbrs, w / w.sum()
 
 
-def reference_step(adj_rel, adj_nbr, lo, hi, nbr_off, nbr_sorted, prev, inv_p, inv_q, u):
-    """The scalar step: weigh every edge of the slice [lo, hi), take a
-    sequential cumulative sum and pick the first edge above u * total.
-    The reference for the lockstep kernel."""
-    nbrs = adj_nbr[lo:hi]
-    n = hi - lo
-    if prev < 0:
-        w = np.ones(n, dtype=np.float64)
-    else:
-        w = np.full(n, inv_q, dtype=np.float64)
-        plo = nbr_off[prev]
-        phi = nbr_off[prev + 1]
-        prev_nbrs = nbr_sorted[plo:phi]
-        if phi > plo:
-            pos = np.searchsorted(prev_nbrs, nbrs)
-            pos_c = np.minimum(pos, phi - plo - 1)
-            w[prev_nbrs[pos_c] == nbrs] = 1.0
-        w[nbrs == prev] = inv_p
-    cum = np.cumsum(w)
-    k = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    if k >= n:
-        k = n - 1
-    return k
-
-
-def reference_walk(graph, start, inv_p, inv_q, uniforms):
-    """One walk at a time through :func:`reference_step`. Returns
-    (entities, relations) of the walk, which stops at a dead end."""
-    ents, rels = [int(start)], []
-    prev = -1
-    for u in uniforms:
-        cur = ents[-1]
-        lo, hi = graph.adj_off[cur], graph.adj_off[cur + 1]
-        if hi == lo:
-            break
-        k = lo + reference_step(
-            graph.adj_rel, graph.adj_nbr, lo, hi, graph.nbr_off, graph.nbr_sorted, prev, inv_p, inv_q, u
-        )
-        rels.append(int(graph.adj_rel[k]))
-        ents.append(int(graph.adj_nbr[k]))
-        prev = cur
-    return ents, rels
-
-
 def hub_graph(seed, add_inverses):
     """A random graph with parallel edges, self-loops, two held-out-only
     isolated entities and one hub of over 200 out-edges; without
@@ -112,10 +68,11 @@ class TestWalkConfig:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("p", float("inf")), ("q", float("inf")), ("q", 1e-320), ("p", 1e-320)],
+        [("p", float("inf")), ("q", float("inf")), ("q", 1e-320), ("p", 1e-320), ("p", 1 / 32), ("q", 32.0)],
     )
     def test_non_finite_bias_rejected(self, name, value):
-        # 1/1e-320 overflows to inf, so that bias gives infinite weights
+        # 1/1e-320 overflows to inf, so that bias gives infinite weights;
+        # beyond [1/16, 16] the rejection sampler's proposals per step grow
         with pytest.raises(ValueError, match=rf"^{name} "):
             WalkConfig(**{name: value})
 
@@ -218,16 +175,6 @@ class TestSampleWalk:
             assert len(chain.entities) == 11
             assert len(chain.relations) == 10
 
-    def test_same_seed_same_chain(self, ring_graph):
-        # every chain is the walk its own (seed, entity, walk) stream gives
-        cfg = WalkConfig(walks_per_node=3, walk_length=9, seed=3)
-        chains = generate_corpus(ring_graph, cfg)
-        for i, chain in enumerate(chains):
-            e, w = divmod(i, 3)
-            uniforms = seeds.derived_rng(3, seeds.WALKS, e, w).random(cfg.n_steps)
-            ents, rels = reference_walk(ring_graph, e, 1.0, 1.0, uniforms)
-            assert chain.entities.tolist() == ents and chain.relations.tolist() == rels
-
     def test_truncates_at_dead_end(self):
         g = build_graph([("a", "r", "b"), ("b", "r", "c")], add_inverses=False)
         chain = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=21))[0]
@@ -244,32 +191,93 @@ class TestSampleWalk:
                     assert any(rr == r and nn == nxt for rr, nn in zip(rels, nbrs))
 
     @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0), (0.25, 4.0), (1.7, 0.6)])
-    def test_walk_steps_match_scalar_reference(self, p, q):
-        # when p and q are powers of two every cumulative weight is exact,
-        # so the rows may also hold uniforms that land exactly on one
-        dyadic = np.log2(p).is_integer() and np.log2(q).is_integer()
-        sides = set()
+    def test_walk_steps_match_distribution(self, p, q):
+        n = 40_000
+        covered = set()
         for seed in range(4):
             g = hub_graph(seed, add_inverses=seed % 2 == 0)
             rng = np.random.default_rng(seed)
             starts = np.repeat(np.arange(g.n_entities), 3)
-            uniforms = rng.random((len(starts), 8))
-            if dyadic:
-                exact = rng.random(uniforms.shape) < 0.5
-                uniforms[exact] = rng.integers(0, 65, size=np.count_nonzero(exact)) / 64.0
-                uniforms[uniforms == 1.0] = 1.0 - 2.0**-53
             ents, rels, steps = kernels.walk_steps(
-                g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, uniforms, 1.0 / p, 1.0 / q
+                g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, 8, rng, 1.0 / p, 1.0 / q
             )
-            for i, start in enumerate(starts):
-                ref_ents, ref_rels = reference_walk(g, start, 1.0 / p, 1.0 / q, uniforms[i])
-                k = steps[i]
-                assert ents[i, : k + 1].tolist() == ref_ents and rels[i, :k].tolist() == ref_rels
+            assert ents[:, 0].tolist() == starts.tolist()
+            for i, k in enumerate(steps.tolist()):
                 assert (ents[i, k + 1 :] == -1).all() and (rels[i, k:] == -1).all()
-                for prev, cur in zip(ref_ents, ref_ents[1:-1]):
-                    sides.add(g.out_degree(cur) <= len(g.neighbors_sorted(prev)))
+                if k < 8:
+                    assert g.out_degree(ents[i, k]) == 0
+                for e, r, nxt in zip(ents[i, :k], rels[i, :k], ents[i, 1 : k + 1]):
+                    out_rels, out_nbrs = g.out_edges(int(e))
+                    assert ((out_rels == r) & (out_nbrs == nxt)).any()
             assert steps.min() == 0 and steps.max() == 8
-        assert sides == {True, False}  # both lookup sides ran
+
+            # n steps per (prev, cur) pair at and next to the hub: each
+            # weight class within |z| < 4.5 of its probability, and the
+            # edge counts within a chi-square bound
+            hub = g.entities.id_of("e0")
+            out = [int(x) for x in g.out_edges(hub)[1] if x != hub and g.out_degree(int(x))]
+            near = max(out, key=lambda x: len(np.intersect1d(g.neighbors_sorted(x), g.neighbors_sorted(hub))))
+            pairs = [(None, hub), (near, hub), (hub, hub), (hub, near)]
+            prev = np.repeat([-1 if x is None else x for x, _ in pairs], n)
+            cur = np.repeat([c for _, c in pairs], n)
+            keys = kernels.neighbor_keys(g.nbr_off, g.nbr_sorted)
+            edge = kernels.step_choice(g.adj_off, g.adj_nbr, keys, prev, cur, rng, 1.0 / p, 1.0 / q)
+            for j, (x, c) in enumerate(pairs):
+                deg = g.out_degree(c)
+                counts = np.bincount(edge[j * n : (j + 1) * n] - g.adj_off[c], minlength=deg)
+                assert len(counts) == deg
+                probs = next_step_distribution(x, c, g, p, q).probs
+                nbrs = g.out_edges(c)[1]
+                if x is None:
+                    cls = np.full(deg, "first")
+                else:
+                    cls = np.where(nbrs == x, "back", np.where(np.isin(nbrs, g.neighbors_sorted(x)), "near", "far"))
+                for name in set(cls.tolist()):
+                    pr = probs[cls == name].sum()
+                    if pr < 1.0:
+                        z = (counts[cls == name].sum() / n - pr) / np.sqrt(pr * (1.0 - pr) / n)
+                        assert abs(z) < 4.5, (seed, x, c, name, z)
+                chi2 = ((counts - n * probs) ** 2 / (n * probs)).sum()
+                assert chi2 < deg - 1 + 6.0 * np.sqrt(2.0 * (deg - 1)), (seed, x, c, chi2)
+                covered |= set(cls.tolist())
+                covered |= {"hub"} if deg >= 210 else set()
+                covered |= {"self-loop"} if (nbrs == c).any() else set()
+                covered |= {"parallel"} if len(np.unique(nbrs)) < deg else set()
+        assert covered == {"first", "back", "near", "far", "hub", "self-loop", "parallel"}
+
+    def test_acceptance_is_a_strict_comparison(self, ring_graph):
+        # uniforms on the grid k/16: a weight ratio that is a multiple of
+        # 1/16 is accepted with exactly that probability only under `<`
+        class GridUniforms:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def integers(self, high, size):
+                return self.rng.integers(high, size=size)
+
+            def random(self, size):
+                return self.rng.integers(16, size=size) / 16.0
+
+        g = ring_graph
+        b, c = g.entities.id_of("b"), g.entities.id_of("c")
+        n = 200_000
+        _, nbrs = step(g, b, c, 2.0, 0.5, n, GridUniforms(5))
+        dist = next_step_distribution(b, c, g, 2.0, 0.5)
+        for nbr, pr in zip(dist.nbrs, dist.probs):
+            assert np.count_nonzero(nbrs == nbr) / n == pytest.approx(pr, abs=5e-3)
+
+    def test_corpus_is_one_stream(self, ring_graph):
+        # the corpus is walk_steps over the canonical starts from the one
+        # stream derived_rng(seed, WALKS)
+        cfg = WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=9, seed=3)
+        g = ring_graph
+        starts = np.repeat(np.arange(g.n_entities), 3)
+        rng = seeds.derived_rng(3, seeds.WALKS)
+        ents, rels, _ = kernels.walk_steps(
+            g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, 4, rng, 2.0, 0.5
+        )
+        for i, chain in enumerate(generate_corpus(g, cfg)):
+            assert chain.entities.tolist() == ents[i].tolist() and chain.relations.tolist() == rels[i].tolist()
 
 
 class TestCorpus:
@@ -315,7 +323,7 @@ class TestCorpus:
         g = path_graph
         a, b = g.entities.id_of("a"), g.entities.id_of("b")
         n = 200_000
-        _, nbrs = step(g, a, b, 4.0, 0.25, np.random.default_rng(123).random(n))
+        _, nbrs = step(g, a, b, 4.0, 0.25, n, np.random.default_rng(123))
         assert np.count_nonzero(nbrs == a) / n == pytest.approx(0.25 / 4.25, abs=5e-3)
         assert np.count_nonzero(nbrs == g.entities.id_of("c")) / n == pytest.approx(4.0 / 4.25, abs=5e-3)
 
