@@ -3,23 +3,32 @@
 All stages rebuild the graph deterministically from the same split
 files, so ids agree across stages; intermediate artifacts live in the
 --out directory (corpus.txt, walk_stats.tsv, model.ckpt, loss_trace.tsv,
-embedding and report files). Export is the only stage that pools the
-corpus into the static table: both eval stages start from the exported
-.vec files, for either --init, and never read the checkpoint or the
-corpus.
+scorer.ckpt, scorer_trace.tsv, embedding and report files). Export is
+the only stage that pools the corpus into the static table: both eval
+stages start from the exported .vec files, for either --init, and never
+read the checkpoint or the corpus.
+
+The two eval stages share one downstream scorer. Whichever runs first
+trains it on the train split and writes scorer.ckpt, keyed on every
+input of that training; a later eval stage with the same key loads the
+tables instead of training again, and one with another key retrains
+and replaces the file.
 """
 
 import argparse
+import hashlib
+import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import seeds
 from .classify import triple_classification_eval, write_classification_report
 from .config import ConfigError, add_flags, merge
-from .extract import aggregate_static, export_embeddings, import_embeddings
+from .extract import aggregate_static, export_embeddings, import_embeddings, vec_paths
 from .files import atomic_open
 from .gradcheck import run_gradcheck
 from .graph import build_filter_index, load_dataset
@@ -32,7 +41,7 @@ from .ranking import (
     write_metrics_report,
     write_ranks,
 )
-from .scoring import init_scorer_from_table, init_scorer_random, train_scorer
+from .scoring import init_scorer_from_table, init_scorer_random, load_scorer, save_scorer, train_scorer
 from .train import train_bilm
 from .walker import generate_corpus, read_corpus
 
@@ -48,6 +57,8 @@ def _paths(rc):
         "ckpt": os.path.join(rc.out, "model.ckpt"),
         "trace": os.path.join(rc.out, "loss_trace.tsv"),
         "emb": os.path.join(rc.out, "embeddings"),
+        "scorer": os.path.join(rc.out, "scorer.ckpt"),
+        "scorer_trace": os.path.join(rc.out, "scorer_trace.tsv"),
         "link_metrics": os.path.join(rc.out, "link_metrics.tsv"),
         "link_ranks": os.path.join(rc.out, "link_ranks.tsv"),
         "link_breakdown": os.path.join(rc.out, "link_breakdown.tsv"),
@@ -130,7 +141,8 @@ def cmd_train(rc):
         checkpoint_path=paths["ckpt"],
         checkpoint_interval=rc.checkpoint_interval,
     )
-    _write_lines(paths["trace"], (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(trace, start=1)))
+    rows = (f"{i}\t{e.loss:.6f}\t{e.loss_fwd:.6f}\t{e.loss_bwd:.6f}" for i, e in enumerate(trace, start=1))
+    _write_lines(paths["trace"], rows)
     print(f"wrote checkpoint to {paths['ckpt']} ({len(trace)} epochs)")
     return 0
 
@@ -151,11 +163,50 @@ def cmd_export(rc):
     return 0
 
 
-def _trained_scorer(rc, graph, split):
+def _scorer_key(rc, graph, split):
+    """What the scorer is trained from, in the order a change is logged:
+    the settings, the vocabulary sizes, and one sha256 over the exported
+    .vec bytes, both vocabularies and the train triples (never valid or
+    test, which the scorer must not see)."""
+    parts = []
     try:
-        ent, rel = import_embeddings(_paths(rc)["emb"], graph.entities.items, graph.relations.items)
+        for path in vec_paths(_paths(rc)["emb"]):
+            with open(path, "rb") as fh:
+                parts.append(fh.read())
     except FileNotFoundError as exc:
         raise ConfigError(f"no embeddings at {exc.filename}; run the export stage first") from None
+    parts.append(json.dumps([graph.entities.items, graph.relations.items], ensure_ascii=False).encode("utf-8"))
+    parts.append(np.ascontiguousarray(split.train, dtype=np.int64).tobytes())
+    digest = hashlib.sha256()
+    for part in parts:
+        # length-prefixed, so no two different inputs hash one byte string
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return {
+        "init": rc.init,
+        "scorer_kind": rc.scorer_kind,
+        "scorer_dim": rc.scorer_dim,
+        **asdict(rc.scorer_config()),
+        "n_entities": graph.n_entities,
+        "n_relations": graph.n_relations,
+        "inputs_sha256": digest.hexdigest(),
+    }
+
+
+def _trained_scorer(rc, graph, split):
+    """The scorer both eval stages evaluate. It is trained once per key
+    (:func:`_scorer_key`) and kept in scorer.ckpt: a file with the same
+    key is loaded, one with another key is retrained and replaced, and
+    a malformed one raises ValueError."""
+    paths = _paths(rc)
+    key = _scorer_key(rc, graph, split)
+    if os.path.exists(paths["scorer"]):
+        scorer, saved = load_scorer(paths["scorer"])
+        if saved == key:
+            return scorer
+        changed = next((part for part in key if saved.get(part) != key[part]), "key")
+        logger.info("%s was trained with another %s; retraining it", paths["scorer"], changed)
+    ent, rel = import_embeddings(paths["emb"], graph.entities.items, graph.relations.items)
     rng = seeds.derived_rng(rc.seed, seeds.SCORER_INIT, 0)
     dim = rc.scorer_dim or ent.shape[1]
     if rc.init == "dolores":
@@ -166,7 +217,9 @@ def _trained_scorer(rc, graph, split):
     # negatives avoid the train triples only: the held-out splits must not
     # shape the scorer they evaluate
     known = build_filter_index(graph.n_entities, graph.n_relations, split.train)
-    train_scorer(scorer, split.train, known, rc.scorer_config())
+    _, trace = train_scorer(scorer, split.train, known, rc.scorer_config())
+    _write_lines(paths["scorer_trace"], (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(trace, start=1)))
+    save_scorer(paths["scorer"], scorer, key)
     return scorer
 
 

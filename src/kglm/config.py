@@ -43,7 +43,7 @@ _BOUNDS = {
     "scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
     "scorer_epochs": _AT_LEAST_ZERO,
     "negatives": _AT_LEAST_ONE,
-    "margin": (lambda v: v > 0, "a number > 0"),
+    "margin": _FINITE_POSITIVE,
     "lr": _FINITE_POSITIVE,
     "scorer_lr": _FINITE_POSITIVE,
     "clip": _FINITE_POSITIVE,

@@ -160,7 +160,8 @@ def _write_vec(path, names, vecs):
             fh.write(name + " " + fmt % tuple(row) + "\n")
 
 
-def _vec_paths(base_path):
+def vec_paths(base_path):
+    """The entity and relation ``.vec`` paths under ``base_path``."""
     return f"{base_path}.entities.vec", f"{base_path}.relations.vec"
 
 
@@ -168,7 +169,7 @@ def export_embeddings(table, entity_names, relation_names, base_path):
     """Write word2vec-style text files ``<base>.entities.vec`` and
     ``<base>.relations.vec`` (header '<count> <dim>', then one line per
     token), each atomically. Returns the two paths."""
-    ent_path, rel_path = _vec_paths(base_path)
+    ent_path, rel_path = vec_paths(base_path)
     _write_vec(ent_path, entity_names, table.entity_vecs)
     _write_vec(rel_path, relation_names, table.relation_vecs)
     return ent_path, rel_path
@@ -180,7 +181,7 @@ def import_embeddings(base_path, entity_names, relation_names):
     ValueError naming the file unless it lists exactly the given
     surfaces, in the given order, and both files have one width."""
     mats = []
-    for path, expected in zip(_vec_paths(base_path), (entity_names, relation_names)):
+    for path, expected in zip(vec_paths(base_path), (entity_names, relation_names)):
         names, vecs = load_embeddings(path)
         if names != list(expected):
             i = next(i for i, (a, b) in enumerate(zip_longest(names, expected)) if a != b)

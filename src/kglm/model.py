@@ -1,22 +1,21 @@
 """Model configuration, parameter containers, initialization, and the
-checkpoint container.
+checkpoint.
 
 The sequence model is a stack of projected LSTM layers per direction
 over pair-token embeddings, with softmax heads shared by both
-directions. Checkpoints use a bespoke container (JSON header + raw
-little-endian array bytes, layout documented in the README) chosen so
-that identical parameters always serialize to identical bytes.
+directions. Checkpoints use the :func:`~kglm.files.write_arrays`
+container (JSON header + raw little-endian array bytes, layout
+documented in the README), so identical parameters always serialize to
+identical bytes.
 """
 
-import json
-import math
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 
 import numpy as np
 
 from . import seeds
-from .files import atomic_open
+from .files import read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = "kglm-checkpoint 1"
 
@@ -156,23 +155,8 @@ def init_params(config, n_entities, n_relations, rng=None):
 def save_checkpoint(path, params, config, entities, relations):
     """Write params + config + vocabularies, atomically. Identical inputs
     produce byte-identical files."""
-    arrays = params.flat()
-    manifest = [
-        {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
-        for name, arr in arrays.items()
-    ]
-    header = {
-        "config": asdict(config),
-        "entities": list(entities),
-        "relations": list(relations),
-        "arrays": manifest,
-    }
-    blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC}\n{len(blob)}\n".encode("ascii"))
-        fh.write(blob)
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr).tobytes())
+    header = {"config": asdict(config), "entities": list(entities), "relations": list(relations)}
+    write_arrays(path, CHECKPOINT_MAGIC, header, params.flat())
 
 
 def _describe(array):
@@ -187,51 +171,21 @@ def load_checkpoint(path):
     relations). A malformed file, or one whose arrays are not the
     names, dtypes and shapes, in order, that the header's config and
     vocabulary lengths make, raises ValueError naming ``path``."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        try:
-            n = int(fh.readline())
-        except ValueError:
-            raise ValueError(f"{path}: the header length line is not an integer") from None
-        try:
-            header = json.loads(fh.read(n).decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: the header is not valid JSON ({exc})") from None
-        payload = fh.read()
-    keys = ("config", "entities", "relations", "arrays")
-    missing = [k for k in keys if k not in header] if isinstance(header, dict) else list(keys)
-    if missing:
-        raise ValueError(f"{path}: the header has no {', '.join(missing)}")
+    header, arrays = read_arrays(path, CHECKPOINT_MAGIC, ("config", "entities", "relations"))
     if not all(isinstance(header[k], list) for k in ("entities", "relations")):
         raise ValueError(f"{path}: the header's entities and relations must be lists")
     try:
         config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model config in the header ({exc})") from None
-    try:
-        manifest = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"])) for e in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad array list in the header ({exc!r})") from None
+    got = [(k, a.dtype, a.shape) for k, a in arrays.items()]
     want = init_params(config, len(header["entities"]), len(header["relations"])).flat()
-    for i, (got, exp) in enumerate(zip_longest(manifest, [(k, a.dtype, a.shape) for k, a in want.items()])):
-        if got != exp:
+    for i, (g, exp) in enumerate(zip_longest(got, [(k, a.dtype, a.shape) for k, a in want.items()])):
+        if g != exp:
             raise ValueError(
-                f"{path}: array {i} of the header is {_describe(got)}, but its config and vocabulary "
+                f"{path}: array {i} of the header is {_describe(g)}, but its config and vocabulary "
                 f"make {_describe(exp)}"
             )
-    expected = sum(math.prod(shape) * dt.itemsize for _, dt, shape in manifest)
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: the header lists {expected} bytes of arrays, found {len(payload)} "
-            "(truncated file or trailing bytes)"
-        )
-    arrays, offset = {}, 0
-    for name, dt, shape in manifest:
-        count = math.prod(shape)
-        arrays[name] = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape).copy()
-        offset += count * dt.itemsize
     layers = {
         tag: [
             LSTMLayerParams(**{k: arrays[f"{tag}{i}.{k}"] for k in ("Wx", "Wh", "b", "Wp")})

@@ -10,11 +10,13 @@ logistic loss for the bilinear form, Adam updates.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeds
+from .files import read_arrays, write_arrays
 from .graph import check_ids
 from .optim import Adam
 
@@ -26,6 +28,8 @@ SCORER_KINDS = ("translational", "bilinear")
 BATCH_SIZE = 512
 # corruption rounds before a row counts as uncorruptible
 MAX_NEGATIVE_ROUNDS = 1000
+
+SCORER_MAGIC = "kglm-scorer 1"
 
 
 @dataclass
@@ -70,6 +74,30 @@ class Scorer:
         if self.kind == "translational":
             return -np.linalg.norm(self.ent[h] + self.rel[r] - self.ent, axis=1)
         return self.ent @ (self.ent[h] * self.rel[r])
+
+
+def save_scorer(path, scorer, key):
+    """Write the scorer's float64 tables atomically, under a header that
+    holds its kind and ``key`` (a JSON object naming what the tables were
+    trained from). The bytes are the tables' own, so a loaded scorer is
+    bit-identical to the saved one."""
+    write_arrays(path, SCORER_MAGIC, {"kind": scorer.kind, "key": key}, {"ent": scorer.ent, "rel": scorer.rel})
+
+
+def load_scorer(path):
+    """Read a :func:`save_scorer` file back; returns (scorer, key).
+    Raises ValueError naming ``path`` if the file is malformed or its
+    arrays are not two float64 tables of one width."""
+    header, arrays = read_arrays(path, SCORER_MAGIC, ("kind", "key"))
+    ent, rel = arrays.get("ent"), arrays.get("rel")
+    if list(arrays) != ["ent", "rel"] or ent.dtype != np.float64 or rel.dtype != np.float64 or not (
+        ent.ndim == rel.ndim == 2 and ent.shape[1] == rel.shape[1]
+    ):
+        shapes = ", ".join(f"{name!r} {a.dtype.name} {a.shape}" for name, a in arrays.items())
+        raise ValueError(f"{path}: the arrays are {shapes or 'none'}, not float64 'ent' and 'rel' tables of one width")
+    if header["kind"] not in SCORER_KINDS or not isinstance(header["key"], dict):
+        raise ValueError(f"{path}: the header's kind must be one of {SCORER_KINDS} and its key an object")
+    return Scorer(kind=header["kind"], ent=ent, rel=rel), header["key"]
 
 
 def init_scorer_random(kind, dim, n_entities, n_relations, rng):
@@ -124,8 +152,8 @@ class ScorerTrainConfig:
     seed: int = seeds.DEFAULT_SEED
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not (self.margin > 0 and math.isfinite(self.margin)):
+            raise ValueError("margin must be a finite number > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.negatives < 1:

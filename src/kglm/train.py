@@ -1,6 +1,7 @@
 """Training loop for the bidirectional language model."""
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,8 +13,18 @@ from .optim import Adam
 logger = logging.getLogger(__name__)
 
 
+class EpochLoss(NamedTuple):
+    """One epoch's mean loss per prediction event, over both directions
+    and per direction, each weighted by the batches' event counts."""
+
+    loss: float
+    loss_fwd: float
+    loss_bwd: float
+
+
 def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=0):
-    """Train on a chain corpus; returns (params, per-epoch mean loss).
+    """Train on a chain corpus; returns (params, trace), with one
+    :class:`EpochLoss` per epoch in the trace.
 
     Chains are reshuffled every epoch from a seeded stream and batched;
     chains shorter than two tokens are skipped with a logged count.
@@ -46,7 +57,7 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
     n_batches = -(-n // bs)
     for epoch in range(1, config.epochs + 1):
         order = seeds.derived_rng(config.seed, seeds.SHUFFLE, epoch).permutation(n)
-        total = 0.0
+        total = total_fwd = total_bwd = 0.0
         events = 0
         for bi, start in enumerate(range(0, n, bs)):
             idx = order[start : start + bs]
@@ -61,9 +72,11 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
             grads = bilm_backward(result, params, config)
             opt.step(grads)
             total += result.loss * result.n_events
+            total_fwd += result.loss_fwd * result.n_events
+            total_bwd += result.loss_bwd * result.n_events
             events += result.n_events
-        trace.append(total / events)
-        logger.info("epoch %d/%d  loss %.6f", epoch, config.epochs, trace[-1])
+        trace.append(EpochLoss(total / events, total_fwd / events, total_bwd / events))
+        logger.info("epoch %d/%d  loss %.6f", epoch, config.epochs, trace[-1].loss)
         if checkpoint_path and checkpoint_interval and epoch % checkpoint_interval == 0:
             _save(checkpoint_path)
     if checkpoint_path:

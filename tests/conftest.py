@@ -134,7 +134,7 @@ def toy():
         "chains": chains,
         "config": config,
         "params": params,
-        "trace": trace,
+        "trace": [epoch.loss for epoch in trace],
         "table": table,
         "corpus_elapsed": corpus_elapsed,
         "train_elapsed": train_elapsed,

@@ -254,6 +254,8 @@ class TestCriterion7Determinism:
             "model.ckpt",
             "embeddings.entities.vec",
             "embeddings.relations.vec",
+            "scorer.ckpt",
+            "scorer_trace.tsv",
             "link_metrics.tsv",
             "link_ranks.tsv",
             "link_breakdown.tsv",

@@ -1,10 +1,13 @@
 import os
+import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from kglm.cli import _trained_scorer, dispatch, main
+import kglm.cli
+from kglm.cli import _scorer_key, _trained_scorer, dispatch, main
 from kglm.config import _CHOICES, ConfigError, RunConfig
 from kglm.datasets import make_clustered_kg, write_split_files
 from kglm.graph import load_dataset
@@ -123,6 +126,7 @@ class TestParseConfig:
                 ("scorer_epochs", "-1", "scorer_epochs"),
                 ("negatives", "0", "negatives"),
                 ("margin", "0.0", "margin"),
+                ("margin", "inf", "margin-inf"),
                 ("lr", "-1", "lr"),
                 ("lr", "nan", "lr-nan"),
                 ("scorer_lr", "-1", "scorer_lr"),
@@ -193,6 +197,8 @@ class TestDispatch:
             "corpus.txt",
             "model.ckpt",
             "loss_trace.tsv",
+            "scorer.ckpt",
+            "scorer_trace.tsv",
             "embeddings.entities.vec",
             "embeddings.relations.vec",
             "link_metrics.tsv",
@@ -201,6 +207,15 @@ class TestDispatch:
             "triple_classification.tsv",
         ):
             assert os.path.exists(os.path.join(out, name)), name
+        # epoch, loss, then the forward and backward directions' losses,
+        # whose mean is the loss (both directions predict as many events)
+        for i, line in enumerate(open(os.path.join(out, "loss_trace.tsv"), encoding="utf-8"), start=1):
+            epoch, loss, fwd, bwd = line.rstrip("\n").split("\t")
+            assert int(epoch) == i and abs(float(loss) - (float(fwd) + float(bwd)) / 2) <= 1e-6
+        assert i == 2
+        scorer_trace = open(os.path.join(out, "scorer_trace.tsv"), encoding="utf-8").read().splitlines()
+        assert [line.split("\t")[0] for line in scorer_trace] == ["1", "2", "3", "4", "5"]
+        assert all(re.fullmatch(r"\d+\t\d+\.\d{6}", line) for line in scorer_trace)
         report = open(os.path.join(out, "link_metrics.tsv"), encoding="utf-8").read().splitlines()
         assert all(len(line.split("\t")) == 3 for line in report)
         metrics = {(f[0], f[1]): float(f[2]) for f in (l.split("\t") for l in report)}
@@ -298,11 +313,146 @@ class TestDispatch:
             halves.append(str(tmp_path / os.path.basename(path)))
             with open(halves[-1], "w", encoding="utf-8") as fh:
                 fh.writelines(lines[: len(lines) // 2])
-        scorers = []
+        scorers, keys = [], []
         for paths in (tiny_dataset, (train, *halves)):
             rc = parse_config(None, tiny_flags(paths, out, extra=["--scorer-epochs", "20"]))
             graph, split = load_dataset(rc.train, rc.valid, rc.test)
+            # train both times, rather than load the first one's tables
+            if os.path.exists(os.path.join(out, "scorer.ckpt")):
+                os.remove(os.path.join(out, "scorer.ckpt"))
+            keys.append(_scorer_key(rc, graph, split))
             scorers.append((graph.entities.items, _trained_scorer(rc, graph, split)))
         (vocab_a, a), (vocab_b, b) = scorers
         assert vocab_a == vocab_b
         assert np.array_equal(a.ent, b.ent) and np.array_equal(a.rel, b.rel)
+        # so the valid and test splits stay out of scorer.ckpt's key
+        assert keys[0] == keys[1]
+
+
+@pytest.fixture(scope="module")
+def exported(tiny_dataset, tmp_path_factory):
+    """An out directory after walk, train and export."""
+    out = str(tmp_path_factory.mktemp("exported"))
+    for sub in ("walk", "train", "export"):
+        assert main([sub, *tiny_flags(tiny_dataset, out)]) == 0
+    return out
+
+
+def eval_dir(exported, tmp_path, name="run"):
+    """A fresh out directory holding only the exported .vec files, all
+    that the eval stages read from it."""
+    out = tmp_path / name
+    out.mkdir()
+    for vec in ("embeddings.entities.vec", "embeddings.relations.vec"):
+        shutil.copy(os.path.join(exported, vec), out / vec)
+    return str(out)
+
+
+def count_training(monkeypatch):
+    calls = []
+    train = kglm.cli.train_scorer
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(kglm.cli, "train_scorer", spy)
+    return calls
+
+
+def with_extra_triple(paths, tmp_path):
+    """The split files with one more train triple over entities and a
+    relation the train file already has, so the vocabulary is the same
+    and in the same order."""
+    train, valid, test = paths
+    known = {tuple(line.split("\t")) for path in paths for line in open(path, encoding="utf-8").read().splitlines()}
+    text = open(train, encoding="utf-8").read()
+    rows = [line.split("\t") for line in text.splitlines()]
+    head, rel, _ = rows[0]
+    tail = next(t for _, _, t in rows if (head, rel, t) not in known and t != head)
+    (tmp_path / "train_plus.tsv").write_text(text + f"{head}\t{rel}\t{tail}\n", encoding="utf-8")
+    return str(tmp_path / "train_plus.tsv"), valid, test
+
+
+class TestScorerCheckpoint:
+    @pytest.mark.parametrize("first,second", [("eval-link", "eval-triple"), ("eval-triple", "eval-link")])
+    def test_second_eval_trains_nothing(self, tiny_dataset, exported, tmp_path, monkeypatch, first, second):
+        flags = tiny_flags(tiny_dataset, eval_dir(exported, tmp_path))
+        assert main([first, *flags]) == 0
+        monkeypatch.setattr("kglm.cli.train_scorer", refuse("train_scorer"))
+        monkeypatch.setattr("kglm.extract.load_embeddings", refuse("load_embeddings"))
+        assert main([second, *flags]) == 0
+
+    @pytest.mark.parametrize(
+        "change,part",
+        [
+            ("--scorer-epochs", "epochs"),
+            ("--init", "init"),
+            ("--scorer-kind", "scorer_kind"),
+            ("vec-byte", "inputs_sha256"),
+            ("train-split", "inputs_sha256"),
+        ],
+    )
+    def test_each_input_change_retrains(self, tiny_dataset, exported, tmp_path, monkeypatch, caplog, change, part):
+        out = eval_dir(exported, tmp_path)
+        calls = count_training(monkeypatch)
+        assert main(["eval-link", *tiny_flags(tiny_dataset, out)]) == 0
+        assert main(["eval-triple", *tiny_flags(tiny_dataset, out)]) == 0
+        assert len(calls) == 1
+        paths, extra = tiny_dataset, []
+        if change == "--scorer-epochs":
+            extra = ["--scorer-epochs", "6"]
+        elif change == "--init":
+            extra = ["--init", "random"]
+        elif change == "--scorer-kind":
+            extra = ["--scorer-kind", "translational"]
+        elif change == "vec-byte":
+            # one digit of the first entity vector, the file still well formed
+            vec = os.path.join(out, "embeddings.entities.vec")
+            lines = open(vec, encoding="utf-8").read().split("\n")
+            first = lines[1]
+            i = max(k for k, c in enumerate(first) if c.isdigit() and c != "9")
+            lines[1] = first[:i] + str(int(first[i]) + 1) + first[i + 1 :]
+            with open(vec, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines))
+        else:
+            paths = with_extra_triple(tiny_dataset, tmp_path)
+        flags = tiny_flags(paths, out, extra=extra)
+        with caplog.at_level("INFO", logger="kglm.cli"):
+            assert main(["eval-triple", *flags]) == 0
+        assert len(calls) == 2
+        assert f"scorer.ckpt was trained with another {part}; retraining it" in caplog.text
+        # the new key is saved: the next stage loads it
+        assert main(["eval-link", *flags]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda b: b[:-5], id="truncated"),
+            pytest.param(lambda b: b + b"\0", id="trailing"),
+            pytest.param(lambda b: b"kglm-checkpoint 1" + b[b.index(b"\n") :], id="magic"),
+        ],
+    )
+    def test_malformed_scorer_file_names_it(self, tiny_dataset, exported, tmp_path, damage):
+        out = eval_dir(exported, tmp_path)
+        rc = parse_config(None, tiny_flags(tiny_dataset, out))
+        assert dispatch("eval-link", rc) == 0
+        path = os.path.join(out, "scorer.ckpt")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(damage(data))
+        for sub in ("eval-link", "eval-triple"):
+            with pytest.raises(ValueError, match=re.escape(path)):
+                dispatch(sub, rc)
+
+    def test_eval_triple_alone_writes_the_same_report(self, tiny_dataset, exported, tmp_path):
+        reports = []
+        for name, stages in (("both", ("eval-link", "eval-triple")), ("alone", ("eval-triple",))):
+            out = eval_dir(exported, tmp_path, name)
+            for sub in stages:
+                assert main([sub, *tiny_flags(tiny_dataset, out)]) == 0
+            with open(os.path.join(out, "triple_classification.tsv"), "rb") as fh:
+                reports.append(fh.read())
+        assert reports[0] == reports[1]

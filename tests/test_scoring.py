@@ -19,7 +19,9 @@ from kglm.scoring import (
     ScorerTrainConfig,
     init_scorer_from_table,
     init_scorer_random,
+    load_scorer,
     sample_negatives,
+    save_scorer,
     train_scorer,
 )
 
@@ -329,6 +331,12 @@ class TestScorerTraining:
         with pytest.raises(ValueError, match="margin"):
             ScorerTrainConfig(margin=0.0)
 
+    @pytest.mark.parametrize("margin", [float("inf"), float("nan")])
+    def test_margin_must_be_finite(self, margin):
+        # an infinite margin makes every pair violated and the loss inf
+        with pytest.raises(ValueError, match="margin must be a finite number > 0"):
+            ScorerTrainConfig(margin=margin)
+
     def test_negatives_must_be_positive(self):
         with pytest.raises(ValueError, match="negatives"):
             ScorerTrainConfig(negatives=0)
@@ -436,3 +444,42 @@ class TestInitModes:
         s = init_scorer_from_table(table.entity_vecs, table.relation_vecs, "bilinear", dim=6, rng=rng)
         assert s.ent.shape == (10, 6)
 
+
+
+class TestScorerFile:
+    def _saved(self, tmp_path, kind="translational"):
+        rng = np.random.default_rng(3)
+        scorer = Scorer(kind=kind, ent=rng.normal(size=(7, 4)), rel=rng.normal(size=(5, 4)))
+        path = tmp_path / "scorer.ckpt"
+        save_scorer(str(path), scorer, {"seed": 3, "lr": 0.01})
+        return scorer, path
+
+    @pytest.mark.parametrize("kind", SCORER_KINDS)
+    def test_round_trip_is_bit_exact(self, tmp_path, kind):
+        scorer, path = self._saved(tmp_path, kind)
+        loaded, key = load_scorer(str(path))
+        assert key == {"seed": 3, "lr": 0.01} and loaded.kind == kind
+        assert loaded.ent.tobytes() == scorer.ent.tobytes() and loaded.rel.tobytes() == scorer.rel.tobytes()
+        again = tmp_path / "again.ckpt"
+        save_scorer(str(again), loaded, key)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda t: t.replace('"name": "rel"', '"name": "rels"'), "the arrays are", id="name"),
+            pytest.param(lambda t: t.replace('"dtype": "<f8"', '"dtype": "<i8"', 1), "the arrays are", id="dtype"),
+            pytest.param(lambda t: t.replace('"kind": "translational"', '"kind": "TransE"'), "kind", id="kind"),
+            pytest.param(lambda t: t.replace('"key": {', '"key": [{', 1).replace("}, \"kind", "}], \"kind"), "key",
+                         id="key"),
+        ],
+    )
+    def test_malformed_header_names_the_file(self, tmp_path, edit, message):
+        _, path = self._saved(tmp_path)
+        magic, n, rest = path.read_bytes().split(b"\n", 2)
+        text = edit(rest[: int(n)].decode("utf-8"))
+        assert text != rest[: int(n)].decode("utf-8")
+        blob = text.encode("utf-8")
+        path.write_bytes(magic + b"\n" + str(len(blob)).encode("ascii") + b"\n" + blob + rest[int(n) :])
+        with pytest.raises(ValueError, match=rf"scorer\.ckpt: .*{message}"):
+            load_scorer(str(path))

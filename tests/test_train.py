@@ -58,7 +58,8 @@ class TestTrain:
         graph, chains = small_corpus(n_entities=50, n_relations=5, walks=10, length=9)
         assert len(chains) == 500
         config = small_config(epochs=20)
-        _, trace = train_bilm(chains, graph, config)
+        _, epochs = train_bilm(chains, graph, config)
+        trace = [epoch.loss for epoch in epochs]
         assert trace[-1] < 0.6 * trace[0]
         ma = np.convolve(trace, np.ones(5) / 5.0, mode="valid")
         assert np.all(np.diff(ma) <= 0)
