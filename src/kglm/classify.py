@@ -63,6 +63,8 @@ def triple_classification_eval(
     """
     valid_pos = np.asarray(valid_pos, dtype=np.int64)
     test_pos = np.asarray(test_pos, dtype=np.int64)
+    if known is None and (valid_neg is None or test_neg is None):
+        raise ValueError("known (the filter index) is needed to generate negatives; pass it or pass both negative sets")
     if valid_neg is None:
         rng = seeds.derived_rng(seed, seeds.CLASSIFY_NEGATIVES, 0)
         valid_neg = sample_negatives(valid_pos, known, rng)

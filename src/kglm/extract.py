@@ -15,7 +15,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .bilm import bilm_states, pack_batch, tokenize_chain
+from .bilm import LayerStates, bilm_states, pack_batch, tokenize_chain
 from .files import atomic_open
 
 
@@ -46,21 +46,6 @@ def combine(layer_states, lam):
 
 
 @dataclass
-class LayeredStaticTable:
-    """Mean x-part and per-layer mean contextual states for every
-    vocabulary item. Layer blocks of never-observed items are zero and
-    their x block is the item's own embedding (zeros in the other
-    slot)."""
-
-    ent_x: np.ndarray  # (|E|, D)
-    ent_layers: np.ndarray  # (|E|, L, 2P)
-    ent_counts: np.ndarray
-    rel_x: np.ndarray
-    rel_layers: np.ndarray
-    rel_counts: np.ndarray
-
-
-@dataclass
 class StaticEmbeddingTable:
     """One fixed vector per entity and relation plus occurrence counts."""
 
@@ -79,76 +64,59 @@ CHUNK_SIZE = 256
 
 
 def aggregate_layered(chains, params, config):
-    """Mean-pool contextual states over every corpus occurrence,
-    separately per layer, attributed to both the entity and the
-    relation of each pair token."""
+    """Sum the combined vector of every corpus occurrence, attributed to
+    both the entity and the relation of its pair token. Returns
+    ``(ent_sums, ent_counts, rel_sums, rel_counts)``: float64 sums of
+    :func:`combine` with uniform layer weights, (|E|, D+2P) and
+    (|R|, D+2P), and occurrence counts.
+
+    The name is older than the combined sums (the pooling once kept one
+    table per layer). It stays because ``perfbench/tracer.py`` wraps it
+    and reports its self time as the pooling cost of export."""
     if not chains:
         raise ValueError("cannot aggregate over an empty corpus")
     nE, nR = params.n_entities, params.n_relations
-    D = params.ent_emb.shape[1] + params.rel_emb.shape[1]
     L = len(params.fwd)
-    P2 = 2 * params.fwd[0].Wp.shape[1]
-    eos = nR - 1
+    uniform = np.full(L, 1.0 / L)
+    dim = params.ent_emb.shape[1] + params.rel_emb.shape[1] + 2 * params.fwd[0].Wp.shape[1]
+    ent_sums, rel_sums = np.zeros((nE, dim)), np.zeros((nR, dim))
+    ent_counts, rel_counts = np.zeros(nE, dtype=np.int64), np.zeros(nR, dtype=np.int64)
 
-    ent_x = np.zeros((nE, D))
-    ent_layers = np.zeros((nE, L, P2))
-    ent_counts = np.zeros(nE, dtype=np.int64)
-    rel_x = np.zeros((nR, D))
-    rel_layers = np.zeros((nR, L, P2))
-    rel_counts = np.zeros(nR, dtype=np.int64)
-
-    tokenized = [tokenize_chain(c, eos) for c in chains]
+    tokenized = [tokenize_chain(c, nR - 1) for c in chains]
     for start in range(0, len(tokenized), CHUNK_SIZE):
         batch = pack_batch(tokenized[start : start + CHUNK_SIZE], dtype=config.dtype)
         states, _ = bilm_states(batch, params, config)
         # Real positions in sequence-major order, so every item's sums
         # accumulate in the same order as one scatter per sequence would.
         real = batch.mask.T.astype(bool)  # (B, T)
-        e_ids = batch.ents.T[real]
-        r_ids = batch.rels.T[real]
-        xv = states.x.transpose(1, 0, 2)[real].astype(np.float64)  # (N, D)
-        h = np.concatenate([states.fwd, states.bwd], axis=3)  # (L, T, B, 2P)
-        hv = h.transpose(2, 1, 0, 3)[real].astype(np.float64)  # (N, L, 2P)
-        np.add.at(ent_x, e_ids, xv)
-        np.add.at(ent_layers, e_ids, hv)
-        np.add.at(ent_counts, e_ids, 1)
-        np.add.at(rel_x, r_ids, xv)
-        np.add.at(rel_layers, r_ids, hv)
-        np.add.at(rel_counts, r_ids, 1)
-
-    d_e = params.ent_emb.shape[1]
-    ent_div = np.maximum(ent_counts, 1)[:, None]
-    rel_div = np.maximum(rel_counts, 1)[:, None]
-    ent_x /= ent_div
-    rel_x /= rel_div
-    ent_layers /= ent_div[:, :, None]
-    rel_layers /= rel_div[:, :, None]
-    # fallback: unobserved items keep their own embedding, zero context
-    for e in np.flatnonzero(ent_counts == 0):
-        ent_x[e, :d_e] = params.ent_emb[e]
-    for r in np.flatnonzero(rel_counts == 0):
-        rel_x[r, d_e:] = params.rel_emb[r]
-    return LayeredStaticTable(
-        ent_x=ent_x,
-        ent_layers=ent_layers,
-        ent_counts=ent_counts,
-        rel_x=rel_x,
-        rel_layers=rel_layers,
-        rel_counts=rel_counts,
-    )
+        occurrences = LayerStates(
+            x=states.x.transpose(1, 0, 2)[real].astype(np.float64),  # (N, D)
+            fwd=states.fwd.transpose(0, 2, 1, 3)[:, real].astype(np.float64),  # (L, N, P)
+            bwd=states.bwd.transpose(0, 2, 1, 3)[:, real].astype(np.float64),
+        )
+        vecs = combine(occurrences, uniform)
+        e_ids, r_ids = batch.ents.T[real], batch.rels.T[real]
+        np.add.at(ent_sums, e_ids, vecs)
+        np.add.at(rel_sums, r_ids, vecs)
+        ent_counts += np.bincount(e_ids, minlength=nE)
+        rel_counts += np.bincount(r_ids, minlength=nR)
+    return ent_sums, ent_counts, rel_sums, rel_counts
 
 
 def aggregate_static(chains, params, config):
-    """Static per-item table: the pooled pair embedding concatenated with
-    the uniform mean of the pooled per-layer states."""
-    layered = aggregate_layered(chains, params, config)
-    L = layered.ent_layers.shape[1]
-    uniform = np.full(L, 1.0 / L)
+    """Static per-item table: the mean over every occurrence of the
+    combined vector [x_t, uniform mean of the L layer states]. Items
+    never seen in the corpus get their own embedding in its slot of x
+    and zeros elsewhere."""
+    ent_sums, ent_counts, rel_sums, rel_counts = aggregate_layered(chains, params, config)
+    ent = ent_sums / np.maximum(ent_counts, 1)[:, None]
+    rel = rel_sums / np.maximum(rel_counts, 1)[:, None]
+    d_e = params.ent_emb.shape[1]
+    d_x = d_e + params.rel_emb.shape[1]
+    ent[ent_counts == 0, :d_e] = params.ent_emb[ent_counts == 0]
+    rel[rel_counts == 0, d_e:d_x] = params.rel_emb[rel_counts == 0]
     return StaticEmbeddingTable(
-        entity_vecs=np.concatenate([layered.ent_x, np.tensordot(layered.ent_layers, uniform, axes=(1, 0))], axis=1),
-        relation_vecs=np.concatenate([layered.rel_x, np.tensordot(layered.rel_layers, uniform, axes=(1, 0))], axis=1),
-        entity_counts=layered.ent_counts,
-        relation_counts=layered.rel_counts,
+        entity_vecs=ent, relation_vecs=rel, entity_counts=ent_counts, relation_counts=rel_counts
     )
 
 

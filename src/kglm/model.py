@@ -39,6 +39,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("num_layers", "hidden_units", "proj_dim", "entity_dim", "relation_dim", "batch_size"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not self.clip_lo < self.clip_hi:
@@ -107,49 +109,52 @@ class ModelParams:
     def n_relations(self):
         return self.rel_emb.shape[0]
 
+    @classmethod
+    def from_flat(cls, arrays, num_layers):
+        """Inverse of :meth:`flat`: the parameters from name -> array."""
+        layers = {
+            tag: [
+                LSTMLayerParams(**{k: arrays[f"{tag}{i}.{k}"] for k in ("Wx", "Wh", "b", "Wp")})
+                for i in range(num_layers)
+            ]
+            for tag in ("fwd", "bwd")
+        }
+        shared = ("ent_emb", "rel_emb", "sm_ent_W", "sm_ent_b", "sm_rel_W", "sm_rel_b")
+        return cls(**layers, **{k: arrays[k] for k in shared})
 
-def _uniform(rng, lo, hi, shape, dtype):
-    return rng.uniform(lo, hi, size=shape).astype(dtype)
 
-
-def _init_layer(rng, in_dim, hidden, proj, dtype):
-    sx = 1.0 / np.sqrt(in_dim)
-    sh = 1.0 / np.sqrt(proj)
-    sp = 1.0 / np.sqrt(hidden)
-    Wx = _uniform(rng, -sx, sx, (in_dim, 4 * hidden), dtype)
-    Wh = _uniform(rng, -sh, sh, (proj, 4 * hidden), dtype)
-    b = np.zeros(4 * hidden, dtype=dtype)
-    b[hidden : 2 * hidden] = 1.0  # forget gate bias
-    Wp = _uniform(rng, -sp, sp, (hidden, proj), dtype)
-    return LSTMLayerParams(Wx=Wx, Wh=Wh, b=b, Wp=Wp)
+def param_shapes(config, n_entities, n_relations):
+    """Name -> shape of every parameter block, in :meth:`ModelParams.flat`
+    order. Biases are the only 1-D blocks."""
+    H, P = config.hidden_units, config.proj_dim
+    shapes = {"ent_emb": (n_entities, config.entity_dim), "rel_emb": (n_relations, config.relation_dim)}
+    for tag in ("fwd", "bwd"):
+        for i in range(config.num_layers):
+            in_dim = config.input_dim if i == 0 else P
+            for k, shape in (("Wx", (in_dim, 4 * H)), ("Wh", (P, 4 * H)), ("b", (4 * H,)), ("Wp", (H, P))):
+                shapes[f"{tag}{i}.{k}"] = shape
+    shapes.update(sm_ent_W=(P, n_entities), sm_ent_b=(n_entities,), sm_rel_W=(P, n_relations), sm_rel_b=(n_relations,))
+    return shapes
 
 
 def init_params(config, n_entities, n_relations, rng=None):
-    """Seeded initialization; embeddings U(-0.1, 0.1), LSTM and softmax
-    weights scaled-uniform by fan-in, forget-gate bias +1."""
+    """Seeded initialization, drawn block by block in
+    :meth:`ModelParams.flat` order: embeddings U(-0.1, 0.1), other
+    weights U(-s, s) with s = 1/sqrt(fan-in), zero biases with the
+    forget-gate bias at +1."""
     if rng is None:
         rng = seeds.derived_rng(config.seed, seeds.MODEL_INIT)
-    dt = config.dtype
-    ent_emb = _uniform(rng, -0.1, 0.1, (n_entities, config.entity_dim), dt)
-    rel_emb = _uniform(rng, -0.1, 0.1, (n_relations, config.relation_dim), dt)
-    fwd, bwd = [], []
-    for layers in (fwd, bwd):
-        for i in range(config.num_layers):
-            in_dim = config.input_dim if i == 0 else config.proj_dim
-            layers.append(_init_layer(rng, in_dim, config.hidden_units, config.proj_dim, dt))
-    ss = 1.0 / np.sqrt(config.proj_dim)
-    sm_ent_W = _uniform(rng, -ss, ss, (config.proj_dim, n_entities), dt)
-    sm_rel_W = _uniform(rng, -ss, ss, (config.proj_dim, n_relations), dt)
-    return ModelParams(
-        ent_emb=ent_emb,
-        rel_emb=rel_emb,
-        fwd=fwd,
-        bwd=bwd,
-        sm_ent_W=sm_ent_W,
-        sm_ent_b=np.zeros(n_entities, dtype=dt),
-        sm_rel_W=sm_rel_W,
-        sm_rel_b=np.zeros(n_relations, dtype=dt),
-    )
+    H = config.hidden_units
+    arrays = {}
+    for name, shape in param_shapes(config, n_entities, n_relations).items():
+        if len(shape) == 1:
+            arrays[name] = np.zeros(shape, dtype=config.dtype)
+            if "." in name:  # an LSTM layer's [i|f|g|o] bias
+                arrays[name][H : 2 * H] = 1.0
+            continue
+        s = 0.1 if name.endswith("_emb") else 1.0 / np.sqrt(shape[0])
+        arrays[name] = rng.uniform(-s, s, size=shape).astype(config.dtype)
+    return ModelParams.from_flat(arrays, config.num_layers)
 
 
 def save_checkpoint(path, params, config, entities, relations):
@@ -179,21 +184,13 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model config in the header ({exc})") from None
     got = [(k, a.dtype, a.shape) for k, a in arrays.items()]
-    want = init_params(config, len(header["entities"]), len(header["relations"])).flat()
-    for i, (g, exp) in enumerate(zip_longest(got, [(k, a.dtype, a.shape) for k, a in want.items()])):
+    shapes = param_shapes(config, len(header["entities"]), len(header["relations"]))
+    want = [(k, np.dtype(config.dtype), shape) for k, shape in shapes.items()]
+    for i, (g, exp) in enumerate(zip_longest(got, want)):
         if g != exp:
             raise ValueError(
                 f"{path}: array {i} of the header is {_describe(g)}, but its config and vocabulary "
                 f"make {_describe(exp)}"
             )
-    layers = {
-        tag: [
-            LSTMLayerParams(**{k: arrays[f"{tag}{i}.{k}"] for k in ("Wx", "Wh", "b", "Wp")})
-            for i in range(config.num_layers)
-        ]
-        for tag in ("fwd", "bwd")
-    }
-    params = ModelParams(
-        **layers, **{k: arrays[k] for k in ("ent_emb", "rel_emb", "sm_ent_W", "sm_ent_b", "sm_rel_W", "sm_rel_b")}
-    )
+    params = ModelParams.from_flat(arrays, config.num_layers)
     return params, config, header["entities"], header["relations"]

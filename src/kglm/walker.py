@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels, seeds
 from .files import atomic_open
+from .graph import EOS_SURFACE
 
 logger = logging.getLogger(__name__)
 
@@ -155,7 +156,10 @@ def write_corpus(chains, graph, path):
 
 
 def read_corpus(path, graph):
-    """Parse a corpus file back into :class:`Chain` objects."""
+    """Parse a corpus file back into :class:`Chain` objects. Raises
+    ValueError naming ``path`` and the line for an even token count, a
+    surface outside the graph's vocabulary, or an end-of-sequence
+    relation inside a chain."""
     chains = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -170,5 +174,7 @@ def read_corpus(path, graph):
                 rels = np.array([graph.relations.id_of(t) for t in toks[1::2]], dtype=np.int64)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if np.any(rels == graph.eos_id):
+                raise ValueError(f"{path}:{lineno}: {EOS_SURFACE!r} inside a chain")
             chains.append(Chain(entities=ents, relations=rels))
     return chains

@@ -131,6 +131,14 @@ class TestTripleClassification:
         assert r1.valid_accuracy == r2.valid_accuracy
         assert r1.thresholds == r2.thresholds
 
+    def test_generated_negatives_need_known(self):
+        triples = self._triples([0, 1, 0, 1])
+        scorer = FixedScorer({}, default=0.0)
+        with pytest.raises(ValueError, match="known"):
+            triple_classification_eval(scorer, triples, triples)
+        with pytest.raises(ValueError, match="known"):
+            triple_classification_eval(scorer, triples, triples, valid_neg=triples[::-1])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_loop_reference(self, seed):
         rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kglm.bilm import bilm_states, pack_batch, tokenize_chain
+from kglm.bilm import LayerStates, bilm_states, pack_batch, tokenize_chain
 from kglm.extract import (
     aggregate_layered,
     aggregate_static,
@@ -166,33 +166,32 @@ class TestAggregate:
                 np.testing.assert_allclose(table.relation_vecs[r], sums_r[r] / counts_r[r], atol=1e-10)
 
     def test_chunk_scatter_equals_per_sequence_loop(self, monkeypatch):
-        # reference: one np.add.at per sequence over the same batched
-        # states; the chunk scatter visits positions sequence-major, so
-        # every float sum must come out identical (f64 states, so the
-        # order of the additions shows in the last bits)
+        # reference: one np.add.at per sequence of that sequence's
+        # combined vectors over the same batched states; the chunk
+        # scatter visits positions sequence-major, so every float sum must
+        # come out identical (f64 states, so the order of the additions
+        # shows in the last bits)
         config, params = make_model(n_ent=6, n_rel=4)
         rng = np.random.default_rng(0)
         chains = [chain(rng.integers(6, size=n), rng.integers(3, size=n - 1)) for n in (3, 1, 5, 2, 4, 3, 5)]
         monkeypatch.setattr("kglm.extract.CHUNK_SIZE", 3)
-        layered = aggregate_layered(chains, params, config)
-        sums = {"ent": [np.zeros_like(layered.ent_x), np.zeros_like(layered.ent_layers), np.zeros(6, np.int64)],
-                "rel": [np.zeros_like(layered.rel_x), np.zeros_like(layered.rel_layers), np.zeros(4, np.int64)]}
+        ent_sums, ent_counts, rel_sums, rel_counts = aggregate_layered(chains, params, config)
+        sums = {"ent": [np.zeros_like(ent_sums), np.zeros(6, np.int64)],
+                "rel": [np.zeros_like(rel_sums), np.zeros(4, np.int64)]}
         for start in range(0, len(chains), 3):
             batch = pack_batch([tokenize_chain(c, 3) for c in chains[start : start + 3]], dtype=config.dtype)
             states, _ = bilm_states(batch, params, config)
             for b, n in enumerate(batch.lengths):
                 seq = states.per_sequence(b)
-                hv = seq.layer_concat().transpose(1, 0, 2).astype(np.float64)
+                seq = LayerStates(*(a.astype(np.float64) for a in (seq.x, seq.fwd, seq.bwd)))
+                vecs = combine(seq, np.full(2, 0.5))
                 for key, ids in (("ent", batch.ents[:n, b]), ("rel", batch.rels[:n, b])):
-                    np.add.at(sums[key][0], ids, seq.x.astype(np.float64))
-                    np.add.at(sums[key][1], ids, hv)
-                    np.add.at(sums[key][2], ids, 1)
-        for key, (x, layers, counts) in sums.items():
-            seen = counts > 0
-            div = np.maximum(counts, 1)[:, None]
-            np.testing.assert_array_equal(getattr(layered, f"{key}_counts"), counts)
-            np.testing.assert_array_equal(getattr(layered, f"{key}_layers"), layers / div[:, :, None])
-            np.testing.assert_array_equal(getattr(layered, f"{key}_x")[seen], (x / div)[seen])
+                    np.add.at(sums[key][0], ids, vecs)
+                    np.add.at(sums[key][1], ids, 1)
+        np.testing.assert_array_equal(ent_sums, sums["ent"][0])
+        np.testing.assert_array_equal(ent_counts, sums["ent"][1])
+        np.testing.assert_array_equal(rel_sums, sums["rel"][0])
+        np.testing.assert_array_equal(rel_counts, sums["rel"][1])
 
 
 class TestExport:

@@ -135,6 +135,12 @@ class TestCheckpoint:
                 r"array 3 of the header is 'fwd0\.Wh' float32 \(3, 24\), but .* make 'fwd0\.Wh' float32 \(2, 24\)",
                 id="proj-dim",
             ),
+            pytest.param(
+                None,
+                lambda t: t.replace('"hidden_units": 6', '"hidden_units": 6.0', 1),
+                "bad model config in the header.*hidden_units must be an integer",
+                id="float-size",
+            ),
         ],
     )
     def test_malformed_header_names_the_file(self, tmp_path, length, edit, message):

@@ -318,6 +318,14 @@ class TestCorpus:
         with pytest.raises(ValueError, match="whitespace"):
             write_corpus([chain], g, str(tmp_path / "c.txt"))
 
+    def test_eos_inside_chain_rejected(self, tmp_path):
+        # the end-of-sequence relation only ever closes a chain
+        g = build_graph([("a", "r", "b"), ("b", "r", "c")])
+        path = tmp_path / "c.txt"
+        path.write_text("a r b\na <eos> b r c\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"c\.txt:2: '<eos>' inside a chain"):
+            read_corpus(str(path), g)
+
     def test_empirical_frequency_path_graph(self, path_graph):
         # hand-normalized {a: 0.25/4.25, c: 4/4.25}, checked empirically
         g = path_graph
