@@ -7,8 +7,9 @@ and both share the embedding tables and the factorized softmax heads
 (independent entity and relation distributions per position). The loss
 is the mean negative log likelihood per predicted position across both
 directions. The forward pass takes the heads' gradients where it makes
-their probabilities, so no (M, |V|) matrix outlives one direction's
-heads, and backward runs only the LSTM stacks and the embedding scatter.
+their probabilities, one block of rows at a time, so no matrix larger
+than ``HEAD_BLOCK_CELLS`` logits outlives its block, and backward runs
+only the LSTM stacks and the embedding scatter.
 """
 
 from dataclasses import dataclass
@@ -129,8 +130,9 @@ def _head(S, W, b, targets):
 
 
 def _direction_forward(x, mask, layers, config, reverse, train, rng):
-    """Run one direction's stack; returns per-layer stack outputs and
-    the caches backward needs."""
+    """Run one direction's stack; returns its per-layer outputs and, with
+    ``train``, the caches, dropout masks and residual sums backward
+    needs (None without ``train``, which keeps no per-step arrays)."""
     inp = x
     lo, hi = config.clip_lo, config.clip_hi
     caches, drop_masks, res_pre, outs = [], [], [], []
@@ -141,17 +143,25 @@ def _direction_forward(x, mask, layers, config, reverse, train, rng):
             dm = (rng.random(inp.shape) < keep).astype(inp.dtype) / keep
             inp = inp * dm
         drop_masks.append(dm)
-        out, cache = lstm_layer_forward(inp, mask, layer, lo, hi, reverse=reverse)
+        out, cache = lstm_layer_forward(inp, mask, layer, lo, hi, reverse=reverse, keep_cache=train)
         caches.append(cache)
         if config.residual and i > 0:
             s = out + inp
-            res_pre.append(s)
+            res_pre.append(s if train else None)
             out = np.clip(s, lo, hi)
         else:
             res_pre.append(None)
         outs.append(out)
         inp = out
+    if not train:
+        return outs, None
     return outs, {"caches": caches, "drop_masks": drop_masks, "res_pre": res_pre}
+
+
+# Entity-head logits (rows x |E|) per block of ``_direction_heads``: 16 MiB
+# of float32. Below it a direction's heads take one block, which is the
+# unblocked computation, bit for bit.
+HEAD_BLOCK_CELLS = 2**22
 
 
 def _direction_heads(top, batch, params, reverse, n_events, head_grads):
@@ -160,52 +170,69 @@ def _direction_heads(top, batch, params, reverse, n_events, head_grads):
     the gradient of the mean loss at its top states. The head blocks'
     gradients are added into ``head_grads``. Event t of the forward
     direction predicts token t+1; the backward direction predicts token
-    t-1. The (M, |V|) probabilities are dropped on return."""
+    t-1.
+
+    The M = (T-1)·B rows run in blocks of ``HEAD_BLOCK_CELLS // |E|``
+    rows (at least one). A block makes its logits, probabilities and
+    logit gradient for both heads, adds its head gradients and writes its
+    rows of ``dtop``, then drops them, so at most one block's (rows, |E|)
+    and (rows, |R|) matrices are alive. The per-row NLLs are gathered and
+    reduced once, so the loss does not depend on the block size; the
+    head gradients' sums over rows do, in their float rounding."""
     T, B, P = top.shape
     src, tgt = (slice(1, None), slice(None, -1)) if reverse else (slice(None, -1), slice(1, None))
     ev = batch.mask[1:].reshape(-1)
     S = top[src].reshape(-1, P)
     te = batch.ents[tgt].reshape(-1)
     tr = batch.rels[tgt].reshape(-1)
-    probs_e, nll_e = _head(S, params.sm_ent_W, params.sm_ent_b, te)
-    probs_r, nll_r = _head(S, params.sm_rel_W, params.sm_rel_b, tr)
-    total = float(((nll_e + nll_r) * ev).sum())
-
-    # Each row's logit gradient is (probs - onehot) * ev / n_events. The
-    # probabilities become (probs - onehot) in place, and the row weights
-    # go on the (M, P) side of each product, never over (M, |V|).
-    rows = np.arange(len(S))
-    weight = (ev / n_events).astype(probs_e.dtype)
-    dlog_e = probs_e
-    dlog_e[rows, te] -= 1.0
-    dlog_r = probs_r
-    dlog_r[rows, tr] -= 1.0
-    Sw = S * weight[:, None]
-    head_grads["sm_ent_W"] += Sw.T @ dlog_e
-    head_grads["sm_ent_b"] += weight @ dlog_e
-    head_grads["sm_rel_W"] += Sw.T @ dlog_r
-    head_grads["sm_rel_b"] += weight @ dlog_r
-
-    dS = dlog_e @ params.sm_ent_W.T
-    dS += dlog_r @ params.sm_rel_W.T
-    dS *= weight[:, None]
     dtop = np.zeros_like(top)
-    dtop[src] = dS.reshape(T - 1, B, P)
+    dS = dtop[src].reshape(-1, P)  # a view: blocks write dtop's rows
+    step = max(1, HEAD_BLOCK_CELLS // params.sm_ent_W.shape[1])
+    nll_e, nll_r = [], []
+    for r0 in range(0, len(S), step):
+        blk = slice(r0, r0 + step)
+        probs_e, blk_nll_e = _head(S[blk], params.sm_ent_W, params.sm_ent_b, te[blk])
+        probs_r, blk_nll_r = _head(S[blk], params.sm_rel_W, params.sm_rel_b, tr[blk])
+        nll_e.append(blk_nll_e)
+        nll_r.append(blk_nll_r)
+
+        # Each row's logit gradient is (probs - onehot) * ev / n_events. The
+        # probabilities become (probs - onehot) in place, and the row weights
+        # go on the (rows, P) side of each product, never over (rows, |V|).
+        rows = np.arange(len(probs_e))
+        weight = (ev[blk] / n_events).astype(probs_e.dtype)
+        dlog_e = probs_e
+        dlog_e[rows, te[blk]] -= 1.0
+        dlog_r = probs_r
+        dlog_r[rows, tr[blk]] -= 1.0
+        Sw = S[blk] * weight[:, None]
+        head_grads["sm_ent_W"] += Sw.T @ dlog_e
+        head_grads["sm_ent_b"] += weight @ dlog_e
+        head_grads["sm_rel_W"] += Sw.T @ dlog_r
+        head_grads["sm_rel_b"] += weight @ dlog_r
+
+        np.matmul(dlog_e, params.sm_ent_W.T, out=dS[blk])
+        dS[blk] += dlog_r @ params.sm_rel_W.T
+        dS[blk] *= weight[:, None]
+    total = float(((np.concatenate(nll_e) + np.concatenate(nll_r)) * ev).sum())
     return total, dtop
 
 
 def bilm_states(batch, params, config, train=False, rng=None):
     """Gather the pair embeddings and run both direction stacks; no
-    softmax heads. Returns (states, caches), where ``caches`` holds what
-    :func:`bilm_backward` needs from the stacks. Without ``train`` no
-    dropout is applied."""
+    softmax heads. Returns (states, caches). With ``train`` dropout is
+    drawn from ``rng`` and ``caches`` holds what :func:`bilm_backward`
+    needs from the stacks: each layer's per-step BPTT arrays (see
+    :func:`~kglm.lstm.lstm_layer_forward`), dropout masks and residual
+    sums. Without it no dropout is applied, ``caches`` is None, and only
+    the embeddings and every layer's outputs are kept."""
     x = np.concatenate(
         [params.ent_emb[batch.ents], params.rel_emb[batch.rels]], axis=2
     )
     outs_f, cache_f = _direction_forward(x, batch.mask, params.fwd, config, False, train, rng)
     outs_b, cache_b = _direction_forward(x, batch.mask, params.bwd, config, True, train, rng)
     states = BatchStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b), lengths=batch.lengths)
-    return states, {"fwd": cache_f, "bwd": cache_b}
+    return states, ({"fwd": cache_f, "bwd": cache_b} if train else None)
 
 
 def bilm_forward(batch, params, config, rng=None):

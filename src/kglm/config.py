@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from . import seeds
+from .files import open_text
 from .model import ModelConfig
 from .scoring import ScorerTrainConfig
 from .walker import MAX_BIAS, WalkConfig
@@ -32,23 +33,28 @@ _CHOICES = {
 # fails every test.
 _FINITE_POSITIVE = (lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
 _AT_LEAST_ZERO = (lambda v: v >= 0, "an integer >= 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, "an integer >= 1")
 _BOUNDS = {
-    "layers": _AT_LEAST_ONE,
-    "hidden": _AT_LEAST_ONE,
-    "proj": _AT_LEAST_ONE,
-    "entity_dim": _AT_LEAST_ONE,
-    "relation_dim": _AT_LEAST_ONE,
-    "batch": _AT_LEAST_ONE,
     "scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
-    "scorer_epochs": _AT_LEAST_ZERO,
-    "negatives": _AT_LEAST_ONE,
-    "margin": _FINITE_POSITIVE,
     "lr": _FINITE_POSITIVE,
     "scorer_lr": _FINITE_POSITIVE,
     "clip": _FINITE_POSITIVE,
     "checkpoint_interval": _AT_LEAST_ZERO,
     "seed": _AT_LEAST_ZERO,
+}
+
+# The stage configs check the remaining bounds. Each stage message starts
+# with the stage's field name; these map the names a stage checks under
+# another name to the RunConfig field a user sets.
+_STAGE_FIELDS = {
+    "model_config": {
+        "num_layers": "layers",
+        "hidden_units": "hidden",
+        "proj_dim": "proj",
+        "clip_lo": "clip",
+        "batch_size": "batch",
+    },
+    "walk_config": {},
+    "scorer_config": {"epochs": "scorer_epochs"},
 }
 
 
@@ -99,6 +105,15 @@ class RunConfig:
         for key, (ok, expected) in _BOUNDS.items():
             if not ok(getattr(self, key)):
                 raise ConfigError(f"bad value for {key}: {getattr(self, key)!r} (expected {expected})")
+        # every stage's bounds at parse time, so ingest rejects a value
+        # that only a later stage reads
+        for build, renamed in _STAGE_FIELDS.items():
+            try:
+                getattr(self, build)()
+            except ValueError as exc:
+                stage_field = str(exc).split(" ", 1)[0]
+                key = renamed.get(stage_field, stage_field)
+                raise ConfigError(f"bad value for {key}: {getattr(self, key)!r} ({exc})") from None
 
     def require(self, *names):
         for name in names:
@@ -166,9 +181,10 @@ def _parse_value(key, raw):
 
 
 def read_config_file(path):
-    """Parse ``key = value`` lines into a dict, rejecting unknown keys."""
+    """Parse ``key = value`` lines into a dict, rejecting unknown keys and
+    bytes that are not UTF-8 with the path and line."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

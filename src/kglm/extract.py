@@ -16,7 +16,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .bilm import LayerStates, bilm_states, pack_batch, tokenize_chain
-from .files import atomic_open
+from .files import atomic_open, open_text
 
 
 def contextual_reps(chain, params, config):
@@ -168,10 +168,11 @@ def load_embeddings(path):
     """Read a .vec file back into (names, float64 matrix). Raises
     ValueError naming the path and line unless the header is two
     non-negative ints ``count dim`` followed by exactly ``count`` rows
-    of a surface plus ``dim`` values."""
-    with open(path, encoding="utf-8") as fh:
+    of a surface plus ``dim`` values, all of it UTF-8."""
+    with open_text(path) as fh:
+        header = fh.readline().split()
         try:
-            count, dim = (int(v) for v in fh.readline().split())
+            count, dim = (int(v) for v in header)
         except ValueError:
             count = dim = -1
         if count < 0 or dim < 0:

@@ -1,5 +1,6 @@
-"""Crash-safe writes for the artifacts a later stage reads, and the
-array container that checkpoints are stored in."""
+"""Crash-safe writes for the artifacts a later stage reads, text reads
+whose decoding errors name the line, and the array container that
+checkpoints are stored in."""
 
 import contextlib
 import json
@@ -25,6 +26,25 @@ def atomic_open(path, mode="w"):
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open ``path`` for reading as UTF-8 text. Bytes that do not decode
+    raise ValueError naming the path and the line they are on (Python's
+    own error gives only an offset within the chunk it was decoding)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
         raise
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import open_text
+
 logger = logging.getLogger(__name__)
 
 EOS_SURFACE = "<eos>"
@@ -58,10 +60,11 @@ def load_triples(path):
     """Read a TSV triple file, returning (head, relation, tail) surface
     tuples in file order. Empty lines are skipped; any other line with a
     field count != 3 raises :class:`TripleParseError` with its line
-    number. An empty file (no triples) is an error.
+    number, and so does a byte that is not UTF-8. An empty file (no
+    triples) is an error.
     """
     triples = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.removesuffix("\n").removesuffix("\r")
             if not line:

@@ -6,6 +6,8 @@ advances the cell state, then linearly projects the hidden vector and
 clips it elementwise; the clipped projection is both the layer output
 and the recurrent state. Saturated clip components pass zero gradient.
 Padded positions (mask 0) carry state through unchanged in both passes.
+A training forward keeps every step's gates and states for backward; an
+inference forward keeps only the layer's outputs.
 """
 
 import numpy as np
@@ -13,12 +15,17 @@ import numpy as np
 from . import kernels
 
 
-def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False):
+def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False, keep_cache=True):
     """Run a layer over (T, B, Din) inputs with (T, B) mask.
 
     Returns (out, cache); out[t] is the carried state, so padded
     positions repeat the last real state (they are excluded from the
-    loss by the same mask).
+    loss by the same mask). With ``keep_cache`` the cache holds what
+    :func:`lstm_layer_backward` reads: every step's gate activations
+    (T, B, 4H), previous cell state, tanh of the cell state and gated
+    hidden vector (T, B, H) each, and the unclipped projection and
+    previous recurrent state (T, B, P) each. Without it the cache is
+    None, and only ``out`` and one step's gates are alive at a time.
     """
     T, B, Din = inputs.shape
     if Din != layer.Wx.shape[0]:
@@ -26,31 +33,36 @@ def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False):
     H = layer.Wp.shape[0]
     P = layer.Wp.shape[1]
     dt = inputs.dtype
-    pre = inputs @ layer.Wx + layer.b
-
-    act = np.empty((T, B, 4 * H), dtype=dt)
-    cprev = np.empty((T, B, H), dtype=dt)
-    tanh_c = np.empty((T, B, H), dtype=dt)
-    hc = np.empty((T, B, H), dtype=dt)
-    proj = np.empty((T, B, P), dtype=dt)
-    hprev = np.empty((T, B, P), dtype=dt)
     out = np.empty((T, B, P), dtype=dt)
+    if keep_cache:
+        act = np.empty((T, B, 4 * H), dtype=dt)
+        cprev = np.empty((T, B, H), dtype=dt)
+        tanh_c = np.empty((T, B, H), dtype=dt)
+        hc = np.empty((T, B, H), dtype=dt)
+        proj = np.empty((T, B, P), dtype=dt)
+        hprev = np.empty((T, B, P), dtype=dt)
 
     h = np.zeros((B, P), dtype=dt)
     c = np.zeros((B, H), dtype=dt)
     order = range(T - 1, -1, -1) if reverse else range(T)
     for t in order:
-        hprev[t] = h
-        cprev[t] = c
-        a = pre[t] + h @ layer.Wh
-        act[t], c_new, tanh_c[t], hc[t] = kernels.lstm_gates_forward(a, c)
-        proj[t] = hc[t] @ layer.Wp
-        h_new = np.clip(proj[t], clip_lo, clip_hi)
+        # the input GEMM one step at a time: the same per-step products a
+        # (T, B, Din) @ (Din, 4H) matmul makes, without a (T, B, 4H) array
+        a = inputs[t] @ layer.Wx
+        a += layer.b
+        a += h @ layer.Wh
+        act_t, c_new, tanh_c_t, hc_t = kernels.lstm_gates_forward(a, c)
+        proj_t = hc_t @ layer.Wp
+        if keep_cache:
+            hprev[t], cprev[t], act[t], tanh_c[t], hc[t], proj[t] = h, c, act_t, tanh_c_t, hc_t, proj_t
+        h_new = np.clip(proj_t, clip_lo, clip_hi)
         m = mask[t][:, None]
         h = m * h_new + (1.0 - m) * h
         c = m * c_new + (1.0 - m) * c
         out[t] = h
 
+    if not keep_cache:
+        return out, None
     cache = {
         "inputs": inputs,
         "mask": mask,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, seeds
-from .files import atomic_open
+from .files import atomic_open, open_text
 from .graph import EOS_SURFACE
 
 logger = logging.getLogger(__name__)
@@ -158,10 +158,10 @@ def write_corpus(chains, graph, path):
 def read_corpus(path, graph):
     """Parse a corpus file back into :class:`Chain` objects. Raises
     ValueError naming ``path`` and the line for an even token count, a
-    surface outside the graph's vocabulary, or an end-of-sequence
-    relation inside a chain."""
+    surface outside the graph's vocabulary, an end-of-sequence relation
+    inside a chain, or bytes that are not UTF-8."""
     chains = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:

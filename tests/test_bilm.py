@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from kglm import bilm, gradcheck
 from kglm.bilm import (
     bilm_backward,
     bilm_forward,
+    bilm_states,
     log_softmax,
     pack_batch,
     softmax_nll,
@@ -38,6 +40,10 @@ def random_batch(rng, n_ent, n_rel, n_seqs=5, max_len=6, dtype=np.float64):
         n = int(rng.integers(2, max_len + 1))
         pairs.append((rng.integers(n_ent, size=n), rng.integers(n_rel, size=n)))
     return pack_batch(pairs, dtype=dtype)
+
+
+def batch_of_lengths(rng, n_ent, n_rel, lengths, dtype=np.float64):
+    return pack_batch([(rng.integers(n_ent, size=n), rng.integers(n_rel, size=n)) for n in lengths], dtype=dtype)
 
 
 class TestTokenize:
@@ -122,6 +128,20 @@ class TestForward:
         assert result.loss_fwd == pytest.approx(sums[0] / ev.sum(), rel=1e-6)
         assert result.loss_bwd == pytest.approx(sums[1] / ev.sum(), rel=1e-6)
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_inference_states_equal_training_states_without_caches(self, precision):
+        # the inference forward keeps no BPTT arrays, and its states are
+        # a training forward's without dropout, bit for bit, padding too
+        config = small_config(precision=precision)
+        params = init_params(config, 7, 4)
+        batch = batch_of_lengths(np.random.default_rng(6), 7, 4, [6, 2, 5, 3], dtype=config.dtype)
+        states, caches = bilm_states(batch, params, config)
+        assert caches is None
+        trained = bilm_forward(batch, params, config)
+        assert all(c is not None for c in trained.cache["fwd"]["caches"] + trained.cache["bwd"]["caches"])
+        for name in ("x", "fwd", "bwd"):
+            assert np.array_equal(getattr(states, name), getattr(trained.states, name)), name
+
     def test_train_with_dropout_requires_rng(self):
         config = small_config(dropout=0.5)
         params = init_params(config, 4, 3)
@@ -151,6 +171,36 @@ class TestSoftmaxNll:
         logits = np.random.default_rng(14).normal(size=(6, 5))
         probs, _ = softmax_nll(logits, np.zeros(6, dtype=np.int64))
         assert probs is logits
+
+
+class TestHeadBlocks:
+    @staticmethod
+    def heads(monkeypatch, cells, top, batch, params, reverse):
+        monkeypatch.setattr(bilm, "HEAD_BLOCK_CELLS", cells)
+        grads = {name: np.zeros_like(a) for name, a in params.flat().items() if name.startswith("sm_")}
+        n_events = int(2 * batch.mask[1:].sum())
+        total, dtop = bilm._direction_heads(top, batch, params, reverse, n_events, grads)
+        return total, dtop, grads
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_blocks_match_one_block(self, monkeypatch, reverse):
+        # M = 5 rows per step x 5 steps = 25 rows in blocks of 4: seven
+        # blocks, the last of one row. A cap between whole rows of |E|
+        # cells rounds down to whole rows.
+        n_ent, rows = 13, 4
+        config = small_config()
+        params = init_params(config, n_ent, 4)
+        batch = batch_of_lengths(np.random.default_rng(21), n_ent, 4, [6, 3, 5, 2, 6])
+        states, _ = bilm_states(batch, params, config)
+        top = states.bwd[-1] if reverse else states.fwd[-1]
+        M = (top.shape[0] - 1) * top.shape[1]
+        assert M % rows and -(-M // rows) >= 3
+        one = self.heads(monkeypatch, M * n_ent, top, batch, params, reverse)
+        blocked = self.heads(monkeypatch, rows * n_ent + n_ent - 1, top, batch, params, reverse)
+        assert blocked[0] == one[0]
+        np.testing.assert_allclose(blocked[1], one[1], rtol=1e-6)
+        for name in one[2]:
+            np.testing.assert_allclose(blocked[2][name], one[2][name], rtol=1e-6, err_msg=name)
 
 
 class TestSharing:
@@ -204,6 +254,12 @@ class TestGradients:
         assert np.array_equal(grads["fwd0.b"], np.zeros_like(layer.b))
 
     def test_full_model_finite_differences(self):
+        worst, per_block = run_gradcheck(seed=11, n_coords=44)
+        assert worst < GRADCHECK_TOLERANCE, per_block
+
+    def test_full_model_finite_differences_in_head_blocks(self, monkeypatch):
+        # 3 rows per block, so each direction's heads take several blocks
+        monkeypatch.setattr(bilm, "HEAD_BLOCK_CELLS", 3 * gradcheck.N_ENTITIES)
         worst, per_block = run_gradcheck(seed=11, n_coords=44)
         assert worst < GRADCHECK_TOLERANCE, per_block
 

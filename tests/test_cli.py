@@ -110,8 +110,10 @@ class TestParseConfig:
                 value = next(c for c in _CHOICES[f.name] if c != f.default)
             elif f.type is str:
                 value = f"{f.name}.tsv"
+            elif f.type is float:
+                value = f.default / 2  # dropout and the walk biases stay in range
             else:
-                value = f.type(f.default + 1)
+                value = f.default + 2  # walk_length stays odd
             expected[f.name] = value
             flags += [flag, str(value)]
         assert "--no-residual" in flags
@@ -154,6 +156,32 @@ class TestParseConfig:
                 parse_config(None, ["--" + key.replace("_", "-"), value])
             else:
                 parse_config(str(cfg), [])
+
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--dropout", "1.5", "bad value for dropout: 1.5 (dropout must lie in [0, 1))"),
+            ("--epochs", "-1", "bad value for epochs: -1 (epochs must be >= 0)"),
+            ("--scorer-epochs", "-1", "bad value for scorer_epochs: -1 (epochs must be >= 0)"),
+            ("--walk-length", "0", "bad value for walk_length: 0 (walk_length must be odd and >= 3)"),
+            ("--walks-per-node", "0", "bad value for walks_per_node: 0 (walks_per_node must be >= 1)"),
+            ("--hidden", "0", "bad value for hidden: 0 (hidden_units must be positive)"),
+        ],
+    )
+    def test_stage_bounds_fail_at_ingest(self, tiny_dataset, tmp_path, capsys, flag, value, message):
+        # a bound only a later stage's config checks still fails the
+        # first stage, under the flag's own name
+        out = str(tmp_path / "run")
+        assert main(["ingest", *tiny_flags(tiny_dataset, out, extra=[flag, value])]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_undecodable_config_file_names_path_and_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"p = 1.0\nq = 2.0\n# caf\xc1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: not UTF-8 text")):
+            parse_config(str(cfg), [])
 
 
 class TestDispatch:

@@ -263,3 +263,9 @@ class TestExport:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"emb\.entities\.vec:{line}: {message}"):
             load_embeddings(str(path))
+
+    def test_undecodable_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.entities.vec"
+        path.write_bytes(b"2 2\na 1 2\nb\xc1 3 4\n")
+        with pytest.raises(ValueError, match=r"emb\.entities\.vec:3: not UTF-8 text \(byte 0xc1\)"):
+            load_embeddings(str(path))

@@ -127,6 +127,14 @@ class TestLoadTriples:
         p = _write(tmp_path, "t.tsv", "a \tr 1\t b\n\nc\tr\td\n")
         assert load_triples(p) == [("a ", "r 1", " b"), ("c", "r", "d")]
 
+    def test_undecodable_byte_names_path_and_line(self, tmp_path):
+        # past the first decoded chunk, so the line is not the chunk's
+        good = "".join(f"h{i}\tr\tt{i}\n" for i in range(1000)).encode("utf-8")
+        p = tmp_path / "t.tsv"
+        p.write_bytes(good + b"caf\xc1\tr\tt\n")
+        with pytest.raises(ValueError, match=r"t\.tsv:1001: not UTF-8 text \(byte 0xc1\)"):
+            load_triples(str(p))
+
     def test_triple_count_equals_line_count(self, tmp_path):
         # oracle: the number of nonempty lines written
         n = 5000

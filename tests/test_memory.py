@@ -1,0 +1,58 @@
+"""Memory regression guards. ``tracemalloc`` sees numpy's array
+allocations, so the traced peak of a call bounds what it holds at once,
+apart from what existed before the call."""
+
+import tracemalloc
+
+import numpy as np
+
+from kglm import bilm, extract
+from kglm.bilm import pack_batch
+from kglm.model import ModelConfig, init_params
+from kglm.walker import Chain
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_pooling_holds_no_backward_arrays():
+    # a wide cell under narrow outputs: one layer's (T, B, 4H) gate
+    # activations outweigh everything the pooling itself needs
+    config = ModelConfig(num_layers=2, hidden_units=512, proj_dim=8, entity_dim=8, relation_dim=8,
+                         dropout=0.0, batch_size=64, precision="f32", seed=0)
+    n_ent, n_rel = 40, 6
+    params = init_params(config, n_ent, n_rel)
+    rng = np.random.default_rng(0)
+    T, B = 11, 64
+    chains = [Chain(entities=rng.integers(n_ent, size=T), relations=rng.integers(n_rel - 1, size=T - 1))
+              for _ in range(B)]
+    assert B <= extract.CHUNK_SIZE  # one chunk
+    activation_bytes = T * B * 4 * config.hidden_units * np.dtype(config.dtype).itemsize
+    assert traced_peak(extract.aggregate_layered, chains, params, config) < activation_bytes
+
+
+def test_softmax_heads_hold_one_block(monkeypatch):
+    # 2000 rows x 2000 entities: 63 blocks of 32 rows
+    monkeypatch.setattr(bilm, "HEAD_BLOCK_CELLS", 2**16)
+    config = ModelConfig(num_layers=1, hidden_units=8, proj_dim=4, entity_dim=4, relation_dim=4,
+                         dropout=0.0, batch_size=250, precision="f32", seed=0)
+    n_ent, n_rel = 2000, 6
+    params = init_params(config, n_ent, n_rel)
+    rng = np.random.default_rng(1)
+    T, B = 9, 250
+    batch = pack_batch([(rng.integers(n_ent, size=T), rng.integers(n_rel, size=T)) for _ in range(B)],
+                       dtype=np.float32)
+    top = rng.standard_normal((T, B, config.proj_dim)).astype(np.float32)
+    head_grads = {name: np.zeros_like(a) for name, a in params.flat().items() if name.startswith("sm_")}
+    n_events = int(2 * batch.mask[1:].sum())
+    block_bytes = bilm.HEAD_BLOCK_CELLS * np.dtype(np.float32).itemsize
+    peak = traced_peak(bilm._direction_heads, top, batch, params, False, n_events, head_grads)
+    assert peak < 4 * block_bytes

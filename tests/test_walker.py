@@ -326,6 +326,13 @@ class TestCorpus:
         with pytest.raises(ValueError, match=r"c\.txt:2: '<eos>' inside a chain"):
             read_corpus(str(path), g)
 
+    def test_undecodable_byte_names_path_and_line(self, tmp_path):
+        g = build_graph([("a", "r", "b"), ("b", "r", "c")])
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a r b\nb r c\nb r \xff\n")
+        with pytest.raises(ValueError, match=r"c\.txt:3: not UTF-8 text \(byte 0xff\)"):
+            read_corpus(str(path), g)
+
     def test_empirical_frequency_path_graph(self, path_graph):
         # hand-normalized {a: 0.25/4.25, c: 4/4.25}, checked empirically
         g = path_graph
