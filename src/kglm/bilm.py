@@ -134,7 +134,7 @@ def _direction_forward(x, mask, layers, config, reverse, train, rng):
     ``train``, the caches, dropout masks and residual sums backward
     needs (None without ``train``, which keeps no per-step arrays)."""
     inp = x
-    lo, hi = config.clip_lo, config.clip_hi
+    lo, hi = -config.clip, config.clip
     caches, drop_masks, res_pre, outs = [], [], [], []
     for i, layer in enumerate(layers):
         dm = None
@@ -267,7 +267,7 @@ def bilm_forward(batch, params, config, rng=None):
 
 
 def _direction_backward(tag, dtop, dir_cache, layers, config, grads):
-    lo, hi = config.clip_lo, config.clip_hi
+    lo, hi = -config.clip, config.clip
     dcur = dtop
     for i in range(len(layers) - 1, -1, -1):
         if config.residual and i > 0:

@@ -77,9 +77,10 @@ def _load_graph(rc):
 
 
 def _load_model(rc, graph):
-    params, mconfig, entities, relations = load_checkpoint(_paths(rc)["ckpt"])
+    path = _paths(rc)["ckpt"]
+    params, mconfig, entities, relations = load_checkpoint(path)
     if entities != graph.entities.items or relations != graph.relations.items:
-        raise ValueError("checkpoint vocabulary does not match the dataset files")
+        raise ValueError(f"{path}: checkpoint vocabulary does not match the dataset files; rerun the train stage")
     return params, mconfig
 
 
@@ -114,7 +115,7 @@ def cmd_walk(rc):
     graph, _ = _load_graph(rc)
     os.makedirs(rc.out, exist_ok=True)
     path = _paths(rc)["corpus"]
-    config = rc.walk_config()
+    config = rc.walk
     chains = generate_corpus(graph, config, out_path=path)
     steps = np.array([len(c.relations) for c in chains], dtype=np.int64)
     stats = [
@@ -137,7 +138,7 @@ def cmd_train(rc):
     _, trace = train_bilm(
         chains,
         graph,
-        rc.model_config(),
+        rc.model,
         checkpoint_path=paths["ckpt"],
         checkpoint_interval=rc.checkpoint_interval,
     )
@@ -186,7 +187,7 @@ def _scorer_key(rc, graph, split):
         "init": rc.init,
         "scorer_kind": rc.scorer_kind,
         "scorer_dim": rc.scorer_dim,
-        **asdict(rc.scorer_config()),
+        **asdict(rc.scorer),
         "n_entities": graph.n_entities,
         "n_relations": graph.n_relations,
         "inputs_sha256": digest.hexdigest(),
@@ -217,7 +218,7 @@ def _trained_scorer(rc, graph, split):
     # negatives avoid the train triples only: the held-out splits must not
     # shape the scorer they evaluate
     known = build_filter_index(graph.n_entities, graph.n_relations, split.train)
-    _, trace = train_scorer(scorer, split.train, known, rc.scorer_config())
+    _, trace = train_scorer(scorer, split.train, known, rc.scorer)
     _write_lines(paths["scorer_trace"], (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(trace, start=1)))
     save_scorer(paths["scorer"], scorer, key)
     return scorer

@@ -1,19 +1,21 @@
 """Run configuration: a merged view of config-file keys and CLI flags.
 
-Config files are line-oriented ``key = value`` with ``#`` comments; keys
-are the snake_case field names below. Flags (kebab-case) win over file
-values, which win over defaults. Unknown keys are errors so typos never
-pass silently.
+Config files are line-oriented ``key = value`` with ``#`` comments. Flags
+(kebab-case) win over file values, which win over defaults. Unknown keys
+are errors so typos never pass silently.
+
+:class:`RunConfig` holds the run's own settings and the walk, model and
+scorer configs. Each key is one field of RunConfig or of a stage config,
+which declares its type and default and checks its value.
 """
 
 import argparse
-import math
 from dataclasses import dataclass, fields
 
 from . import seeds
 from .files import open_text
-from .model import ModelConfig
-from .scoring import ScorerTrainConfig
+from .model import PRECISIONS, ModelConfig
+from .scoring import SCORER_KINDS, ScorerTrainConfig
 from .walker import MAX_BIAS, WalkConfig
 
 
@@ -21,41 +23,36 @@ class ConfigError(ValueError):
     pass
 
 
-# Fields that take one of a fixed set of words, checked for flags and
+# Keys that take one of a fixed set of words, checked for flags and
 # config-file values alike.
-_CHOICES = {
-    "precision": ("f32", "f64"),
-    "init": ("dolores", "random"),
-    "scorer_kind": ("translational", "bilinear"),
-}
+_CHOICES = {"precision": PRECISIONS, "init": ("dolores", "random"), "scorer_kind": SCORER_KINDS}
 
-# Numeric fields with a range: (test, what the message expects). A NaN
-# fails every test.
-_FINITE_POSITIVE = (lambda v: v > 0 and math.isfinite(v), "a finite number > 0")
+# RunConfig's numeric fields with a range: (test, what the message
+# expects). The stage configs check their own fields.
 _AT_LEAST_ZERO = (lambda v: v >= 0, "an integer >= 0")
-_BOUNDS = {
-    "scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
-    "lr": _FINITE_POSITIVE,
-    "scorer_lr": _FINITE_POSITIVE,
-    "clip": _FINITE_POSITIVE,
-    "checkpoint_interval": _AT_LEAST_ZERO,
-    "seed": _AT_LEAST_ZERO,
+_BOUNDS = {"scorer_dim": (lambda v: v >= 0, "0 for the embedding width, or a positive width"),
+           "checkpoint_interval": _AT_LEAST_ZERO, "seed": _AT_LEAST_ZERO}
+
+# Each stage config by its RunConfig field, with the keys of the stage
+# fields whose key is not the field name. Every other stage field is a
+# key under its own name, except ``seed``: RunConfig's seed sets it.
+_STAGES = {
+    "walk": (WalkConfig, {}),
+    "model": (ModelConfig, {"num_layers": "layers", "hidden_units": "hidden", "proj_dim": "proj",
+                            "batch_size": "batch", "learning_rate": "lr"}),
+    "scorer": (ScorerTrainConfig, {"epochs": "scorer_epochs", "lr": "scorer_lr"}),
 }
 
-# The stage configs check the remaining bounds. Each stage message starts
-# with the stage's field name; these map the names a stage checks under
-# another name to the RunConfig field a user sets.
-_STAGE_FIELDS = {
-    "model_config": {
-        "num_layers": "layers",
-        "hidden_units": "hidden",
-        "proj_dim": "proj",
-        "clip_lo": "clip",
-        "batch_size": "batch",
-    },
-    "walk_config": {},
-    "scorer_config": {"epochs": "scorer_epochs"},
-}
+
+def _bad(key, value, why):
+    return ConfigError(f"bad value for {key}: {value!r} ({why})")
+
+
+def _check(key, value):
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise _bad(key, value, f"expected one of: {', '.join(_CHOICES[key])}")
+    if key in _BOUNDS and not _BOUNDS[key][0](value):
+        raise _bad(key, value, f"expected {_BOUNDS[key][1]}")
 
 
 @dataclass
@@ -65,119 +62,82 @@ class RunConfig:
     valid: str = None
     test: str = None
     out: str = None
-    # walk stage
-    p: float = 1.0
-    q: float = 1.0
-    walks_per_node: int = 20
-    walk_length: int = 21
-    # sequence model
-    layers: int = 4
-    hidden: int = 512
-    proj: int = 32
-    entity_dim: int = 32
-    relation_dim: int = 32
-    clip: float = 3.0
-    dropout: float = 0.1
-    residual: bool = True
-    batch: int = 1024
-    epochs: int = 200
-    lr: float = 1e-3
-    precision: str = "f32"
+    # stage configs; None takes the stage's defaults
+    walk: WalkConfig = None
+    model: ModelConfig = None
     checkpoint_interval: int = 0
     # scorer training / evaluation
     init: str = "dolores"
     scorer_kind: str = "bilinear"
     scorer_dim: int = 0
-    scorer_epochs: int = 100
-    scorer_lr: float = 0.01
-    margin: float = 1.0
-    negatives: int = 1
+    scorer: ScorerTrainConfig = None
     # global
     seed: int = seeds.DEFAULT_SEED
     threads: int = 1
 
     def __post_init__(self):
-        for key, allowed in _CHOICES.items():
-            if getattr(self, key) not in allowed:
-                raise ConfigError(
-                    f"bad value for {key}: {getattr(self, key)!r} (expected one of: {', '.join(allowed)})"
-                )
-        for key, (ok, expected) in _BOUNDS.items():
-            if not ok(getattr(self, key)):
-                raise ConfigError(f"bad value for {key}: {getattr(self, key)!r} (expected {expected})")
-        # every stage's bounds at parse time, so ingest rejects a value
-        # that only a later stage reads
-        for build, renamed in _STAGE_FIELDS.items():
-            try:
-                getattr(self, build)()
-            except ValueError as exc:
-                stage_field = str(exc).split(" ", 1)[0]
-                key = renamed.get(stage_field, stage_field)
-                raise ConfigError(f"bad value for {key}: {getattr(self, key)!r} ({exc})") from None
+        for f in fields(self):
+            if f.name not in _STAGES:
+                _check(f.name, getattr(self, f.name))
+        # one seed for every stage
+        for name, (cls, _) in _STAGES.items():
+            stage = getattr(self, name)
+            if stage is None:
+                setattr(self, name, cls(seed=self.seed))
+            elif stage.seed != self.seed:
+                raise ConfigError(f"the {name} config's seed {stage.seed} is not seed {self.seed}")
 
     def require(self, *names):
         for name in names:
             if getattr(self, name) is None:
                 raise ConfigError(f"missing required field: {name}")
 
-    def model_config(self):
-        return ModelConfig(
-            num_layers=self.layers,
-            hidden_units=self.hidden,
-            proj_dim=self.proj,
-            entity_dim=self.entity_dim,
-            relation_dim=self.relation_dim,
-            clip_lo=-self.clip,
-            clip_hi=self.clip,
-            dropout=self.dropout,
-            residual=self.residual,
-            batch_size=self.batch,
-            learning_rate=self.lr,
-            epochs=self.epochs,
-            seed=self.seed,
-            precision=self.precision,
-        )
 
-    def walk_config(self):
-        return WalkConfig(
-            p=self.p,
-            q=self.q,
-            walks_per_node=self.walks_per_node,
-            walk_length=self.walk_length,
-            seed=self.seed,
-        )
-
-    def scorer_config(self):
-        return ScorerTrainConfig(
-            epochs=self.scorer_epochs,
-            lr=self.scorer_lr,
-            margin=self.margin,
-            negatives=self.negatives,
-            seed=self.seed,
-        )
+def _key_table():
+    keys = {}
+    for f in fields(RunConfig):
+        if f.name in _STAGES:
+            cls, renamed = _STAGES[f.name]
+            keys.update({renamed.get(sf.name, sf.name): (f.name, sf) for sf in fields(cls) if sf.name != "seed"})
+        else:
+            keys[f.name] = (None, f)
+    return keys
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# key -> (the RunConfig field of its stage config, or None; the field it sets)
+_KEYS = _key_table()
+
+
+def from_keys(values):
+    """A RunConfig from key -> value, with defaults for the keys not
+    given. A value that a check rejects raises ConfigError naming its
+    key."""
+    own, staged = {}, {name: {} for name in _STAGES}
+    for key, value in values.items():
+        _check(key, value)
+        stage, f = _KEYS[key]
+        (staged[stage] if stage else own)[f.name] = value
+    for name, kwargs in staged.items():
+        cls, renamed = _STAGES[name]
+        try:
+            own[name] = cls(**kwargs, seed=own.get("seed", RunConfig.seed))
+        except ValueError as exc:
+            # a stage's message starts with the field it rejects
+            field_name = str(exc).split(" ", 1)[0]
+            key = renamed.get(field_name, field_name)
+            raise _bad(key, values.get(key), exc) from None
+    return RunConfig(**own)
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
 def _parse_value(key, raw):
-    ftype = _FIELD_TYPES[key]
-    raw = raw.strip()
+    ftype, raw = _KEYS[key][1].type, raw.strip()
     try:
-        if ftype is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if ftype is int:
-            return int(raw)
-        if ftype is float:
-            return float(raw)
-    except ValueError:
+        return _BOOLS[raw.lower()] if ftype is bool else ftype(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return raw
 
 
 def read_config_file(path):
@@ -193,7 +153,7 @@ def read_config_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _parse_value(key, val)
     return values
@@ -201,9 +161,7 @@ def read_config_file(path):
 
 # Help strings and metavars; every other flag takes argparse's defaults.
 _FLAG_HELP = {
-    "train": {"metavar": "PATH"},
-    "valid": {"metavar": "PATH"},
-    "test": {"metavar": "PATH"},
+    **{name: {"metavar": "PATH"} for name in ("train", "valid", "test")},
     "out": {"metavar": "DIR"},
     "p": {"help": f"walk return parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
     "q": {"help": f"walk in-out parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
@@ -215,29 +173,22 @@ _FLAG_HELP = {
 
 
 def add_flags(parser):
-    """Register every RunConfig field as a flag with a None default, so
-    only flags the user actually passed override file values."""
+    """Register every key as a flag with a None default, so only flags
+    the user actually passed override file values."""
     g = parser.add_argument_group("configuration")
     g.add_argument("--config", default=None, metavar="FILE", help="key = value config file")
-    for name, ftype in _FIELD_TYPES.items():
-        kwargs = dict(_FLAG_HELP.get(name, {}), default=None)
-        if ftype is bool:
+    for key, (_, f) in _KEYS.items():
+        kwargs = dict(_FLAG_HELP.get(key, {}), default=None)
+        if f.type is bool:
             kwargs["action"] = argparse.BooleanOptionalAction
         else:
-            kwargs["type"] = ftype
-        if name in _CHOICES:
-            kwargs["choices"] = _CHOICES[name]
-        g.add_argument("--" + name.replace("_", "-"), **kwargs)
+            kwargs.update(type=f.type, choices=_CHOICES.get(key))
+        g.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
 
 
 def merge(namespace):
     """defaults < config file < explicit flags."""
-    values = {}
-    if namespace.config:
-        values.update(read_config_file(namespace.config))
-    for f in fields(RunConfig):
-        flag_val = getattr(namespace, f.name, None)
-        if flag_val is not None:
-            values[f.name] = flag_val
-    return RunConfig(**values)
+    values = read_config_file(namespace.config) if namespace.config else {}
+    flags = {key: getattr(namespace, key, None) for key in _KEYS}
+    return from_keys({**values, **{key: v for key, v in flags.items() if v is not None}})

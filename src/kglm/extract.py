@@ -124,8 +124,9 @@ def _write_vec(path, names, vecs):
     with atomic_open(path) as fh:
         fh.write(f"{len(names)} {vecs.shape[1]}\n")
         fmt = " ".join(["%.9g"] * vecs.shape[1])
-        for name, row in zip(names, vecs.tolist()):
-            fh.write(name + " " + fmt % tuple(row) + "\n")
+        # one row's Python floats at a time, not the whole table's
+        for name, row in zip(names, vecs):
+            fh.write(name + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def vec_paths(base_path):
@@ -148,8 +149,8 @@ def import_embeddings(base_path, entity_names, relation_names):
     matrices read from ``<base>.{entities,relations}.vec``. Raises
     ValueError naming the file unless it lists exactly the given
     surfaces, in the given order, and both files have one width."""
-    mats = []
-    for path, expected in zip(vec_paths(base_path), (entity_names, relation_names)):
+    mats, paths = [], vec_paths(base_path)
+    for path, expected in zip(paths, (entity_names, relation_names)):
         names, vecs = load_embeddings(path)
         if names != list(expected):
             i = next(i for i, (a, b) in enumerate(zip_longest(names, expected)) if a != b)
@@ -160,7 +161,7 @@ def import_embeddings(base_path, entity_names, relation_names):
         mats.append(vecs)
     ent, rel = mats
     if ent.shape[1] != rel.shape[1]:
-        raise ValueError(f"{base_path}: entity width {ent.shape[1]} != relation width {rel.shape[1]}")
+        raise ValueError(f"{paths[1]}: relation width {rel.shape[1]} != entity width {ent.shape[1]} of {paths[0]}")
     return ent, rel
 
 

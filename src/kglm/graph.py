@@ -26,6 +26,15 @@ class TripleParseError(ValueError):
     """A triple file line that is not head<TAB>relation<TAB>tail."""
 
 
+class SplitOverlapError(ValueError):
+    """A triple of a held-out split that the earlier split ``owner`` holds
+    too: row ``row`` of split ``split``."""
+
+    def __init__(self, message, split, row, owner):
+        super().__init__(message)
+        self.split, self.row, self.owner = split, row, owner
+
+
 class Vocab:
     """Ordered string-to-dense-id mapping."""
 
@@ -66,18 +75,28 @@ def load_triples(path):
     triples = []
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.removesuffix("\n").removesuffix("\r")
-            if not line:
+            parts = _fields(raw)
+            if parts == ("",):
                 continue
-            parts = line.split("\t")
             if len(parts) != 3:
                 raise TripleParseError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
                 )
-            triples.append((parts[0], parts[1], parts[2]))
+            triples.append(parts)
     if not triples:
         raise TripleParseError(f"{path}: no triples found")
     return triples
+
+
+def _fields(raw):
+    return tuple(raw.removesuffix("\n").removesuffix("\r").split("\t"))
+
+
+def _line_of(path, triple):
+    """The number of the first line of ``path`` that holds ``triple``,
+    found by reading the file again: only error messages need it."""
+    with open_text(path) as fh:
+        return next(lineno for lineno, raw in enumerate(fh, start=1) if _fields(raw) == triple)
 
 
 @dataclass(frozen=True)
@@ -319,7 +338,8 @@ class DatasetSplit:
                 key = keys[i][shared[0]]
                 owner = next(n for n, k in zip(names, keys) if key in k)
                 row = tuple(np.asarray(arrays[i])[shared[0]].tolist())
-                raise ValueError(f"split {names[i]} overlaps split {owner}: both hold the id triple {row}")
+                message = f"split {names[i]} overlaps split {owner}: both hold the id triple {row}"
+                raise SplitOverlapError(message, names[i], int(shared[0]), owner)
 
 
 def load_dataset(train_path, valid_path=None, test_path=None):
@@ -335,19 +355,31 @@ def load_dataset(train_path, valid_path=None, test_path=None):
     valid = _drop_duplicates(load_triples(valid_path)) if valid_path else []
     test = _drop_duplicates(load_triples(test_path)) if test_path else []
 
-    held_out = valid + test
-    graph = build_graph(train, extra_entities=[e for h, _, t in held_out for e in (h, t)])
-    for name, rows in (("valid", valid), ("test", test)):
-        for _, r, _ in rows:
+    splits = {"train": (train_path, train), "valid": (valid_path, valid), "test": (test_path, test)}
+    try:
+        graph = build_graph(train, extra_entities=[e for h, _, t in valid + test for e in (h, t)])
+    except ValueError as exc:
+        raise ValueError(f"{train_path}: {exc}") from None
+    for name in ("valid", "test"):
+        path, rows = splits[name]
+        for row in rows:
             # an inverse or <eos> id is in the vocabulary but never a fact
-            if graph.relations.index.get(r, graph.n_base_relations) >= graph.n_base_relations:
+            if graph.relations.index.get(row[1], graph.n_base_relations) >= graph.n_base_relations:
                 raise ValueError(
-                    f"relation {r!r} of the {name} split is synthesized or appears only outside the train split"
+                    f"{path}:{_line_of(path, row)}: relation {row[1]!r} of the {name} split is synthesized "
+                    f"or appears only outside the train split {train_path}"
                 )
 
     train_ids = graph.triples
     valid_ids = _to_ids(valid, graph.entities, graph.relations)
     test_ids = _to_ids(test, graph.entities, graph.relations)
     fidx = build_filter_index(graph.n_entities, graph.n_relations, train_ids, valid_ids, test_ids)
-    split = DatasetSplit(train=train_ids, valid=valid_ids, test=test_ids, filter_index=fidx)
+    try:
+        split = DatasetSplit(train=train_ids, valid=valid_ids, test=test_ids, filter_index=fidx)
+    except SplitOverlapError as exc:
+        (path, rows), (owner_path, _) = splits[exc.split], splits[exc.owner]
+        triple = rows[exc.row]
+        raise ValueError(
+            f"{path}:{_line_of(path, triple)}: {exc} (line {_line_of(owner_path, triple)} of {owner_path})"
+        ) from None
     return graph, split

@@ -9,6 +9,7 @@ documented in the README), so identical parameters always serialize to
 identical bytes.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 
@@ -19,6 +20,8 @@ from .files import read_arrays, write_arrays
 
 CHECKPOINT_MAGIC = "kglm-checkpoint 1"
 
+PRECISIONS = ("f32", "f64")
+
 
 @dataclass
 class ModelConfig:
@@ -27,13 +30,13 @@ class ModelConfig:
     proj_dim: int = 32
     entity_dim: int = 32
     relation_dim: int = 32
-    clip_lo: float = -3.0
-    clip_hi: float = 3.0
+    # projections are clipped to [-clip, clip]
+    clip: float = 3.0
     dropout: float = 0.1
     residual: bool = True
     batch_size: int = 1024
-    learning_rate: float = 1e-3
     epochs: int = 200
+    learning_rate: float = 1e-3
     seed: int = seeds.DEFAULT_SEED
     precision: str = "f32"
 
@@ -43,12 +46,13 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.clip_lo < self.clip_hi:
-            raise ValueError("clip_lo must be below clip_hi")
+        for name in ("clip", "learning_rate"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be a finite number > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError("precision must be 'f32' or 'f64'")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"precision must be one of {PRECISIONS}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 

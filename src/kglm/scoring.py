@@ -152,8 +152,9 @@ class ScorerTrainConfig:
     seed: int = seeds.DEFAULT_SEED
 
     def __post_init__(self):
-        if not (self.margin > 0 and math.isfinite(self.margin)):
-            raise ValueError("margin must be a finite number > 0")
+        for name in ("lr", "margin"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be a finite number > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.negatives < 1:

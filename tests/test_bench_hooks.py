@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import kglm.cli
+from kglm.config import _KEYS
 
 from conftest import parse_config
 
@@ -49,6 +50,7 @@ import json, os, sys
 src, perfbench, work = sys.argv[1:4]
 sys.path[:0] = [src, perfbench]
 import kglm.cli
+from kglm.config import _KEYS
 from kglm.datasets import make_clustered_kg, write_split_files
 from tracer import TARGETS, Tracer
 
@@ -93,7 +95,11 @@ def test_workload_flags_build_every_config(workload, tmp_path):
     flags = ["--seed", "1", "--threads", "1"]
     for name in ("train", "valid", "test", "out"):
         flags += [f"--{name}", str(tmp_path / name)]
-    rc = parse_config(None, flags + WORKLOADS[workload]["flags"])
-    rc.walk_config()
-    rc.model_config()
-    rc.scorer_config()
+    workload_flags = WORKLOADS[workload]["flags"]
+    rc = parse_config(None, flags + workload_flags)
+    assert (rc.seed, rc.walk.seed, rc.model.seed, rc.scorer.seed) == (1, 1, 1, 1)
+    # every workload flag reaches the config that reads it
+    for flag, raw in zip(workload_flags[::2], workload_flags[1::2]):
+        stage, field = _KEYS[flag[2:].replace("-", "_")]
+        owner = getattr(rc, stage) if stage else rc
+        assert getattr(owner, field.name) == field.type(raw), flag

@@ -92,7 +92,7 @@ class TestForward:
         assert np.array_equal(result.states.bwd[1], result.states.bwd[0])
 
     def test_states_respect_clip_range(self):
-        config = small_config(clip_lo=-3.0, clip_hi=3.0)
+        config = small_config(clip=3.0)
         params = init_params(config, 6, 4)
         for layers in (params.fwd, params.bwd):
             for layer in layers:

@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 
 import kglm.cli
 from kglm.cli import _scorer_key, _trained_scorer, dispatch, main
-from kglm.config import _CHOICES, ConfigError, RunConfig
+from kglm.config import _CHOICES, _KEYS, ConfigError, RunConfig
 from kglm.datasets import make_clustered_kg, write_split_files
 from kglm.graph import load_dataset
+from kglm.model import ModelConfig
+from kglm.scoring import ScorerTrainConfig
+from kglm.walker import WalkConfig
 
 from conftest import parse_config
 
@@ -49,13 +53,13 @@ class TestParseConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p = 1.0\n", encoding="utf-8")
         rc = parse_config(str(cfg), ["--p", "2.0"])
-        assert rc.p == 2.0
+        assert rc.walk.p == 2.0
 
     def test_file_value_used_without_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = 0.25\nepochs = 7  # inline comment\n", encoding="utf-8")
         rc = parse_config(str(cfg), [])
-        assert rc.q == 0.25 and rc.epochs == 7
+        assert rc.walk.q == 0.25 and rc.model.epochs == 7
 
     def test_unknown_key_mentions_it(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -96,28 +100,55 @@ class TestParseConfig:
     def test_residual_bool_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("residual = false\n", encoding="utf-8")
-        assert parse_config(str(cfg), []).residual is False
+        assert parse_config(str(cfg), []).model.residual is False
 
     def test_every_field_parses_from_its_flag(self):
         expected, flags = {}, []
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
+        for key, (_, f) in _KEYS.items():
+            flag = "--" + key.replace("_", "-")
             if f.type is bool:
-                expected[f.name] = not f.default
-                flags.append(flag if expected[f.name] else "--no-" + flag[2:])
+                expected[key] = not f.default
+                flags.append(flag if expected[key] else "--no-" + flag[2:])
                 continue
-            if f.name in _CHOICES:
-                value = next(c for c in _CHOICES[f.name] if c != f.default)
+            if key in _CHOICES:
+                value = next(c for c in _CHOICES[key] if c != f.default)
             elif f.type is str:
-                value = f"{f.name}.tsv"
+                value = f"{key}.tsv"
             elif f.type is float:
                 value = f.default / 2  # dropout and the walk biases stay in range
             else:
                 value = f.default + 2  # walk_length stays odd
-            expected[f.name] = value
+            expected[key] = value
             flags += [flag, str(value)]
         assert "--no-residual" in flags
-        assert parse_config(None, flags) == RunConfig(**expected)
+        rc = parse_config(None, flags)
+        for key, (stage, f) in _KEYS.items():
+            assert getattr(getattr(rc, stage) if stage else rc, f.name) == expected[key], key
+
+    def test_keys_are_the_command_line_of_record(self):
+        # flags and config-file keys that scripts and perfbench pass
+        assert sorted(_KEYS) == sorted(
+            "train valid test out p q walks_per_node walk_length layers hidden proj entity_dim relation_dim clip "
+            "dropout residual batch epochs lr precision checkpoint_interval init scorer_kind scorer_dim "
+            "scorer_epochs scorer_lr margin negatives seed threads".split()
+        )
+
+    def test_every_stage_field_has_exactly_one_key(self):
+        reached = Counter((stage, f.name) for stage, f in _KEYS.values())
+        assert max(reached.values()) == 1
+        for stage, cls in (("walk", WalkConfig), ("model", ModelConfig), ("scorer", ScorerTrainConfig)):
+            for f in fields(cls):
+                # the seed is RunConfig's own, handed to every stage
+                assert reached[(stage, f.name)] == (f.name != "seed"), (stage, f.name)
+
+    def test_one_seed_reaches_every_stage(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n", encoding="utf-8")
+        for rc in (parse_config(None, ["--seed", "7"]), parse_config(str(cfg), ["--seed", "7"])):
+            assert {rc.seed, rc.walk.seed, rc.model.seed, rc.scorer.seed} == {7}
+        assert RunConfig(seed=3).model.seed == 3
+        with pytest.raises(ConfigError, match="the walk config's seed 4 is not seed 3"):
+            RunConfig(seed=3, walk=WalkConfig(seed=4))
 
     @pytest.mark.parametrize(
         "source,key,value",
@@ -327,6 +358,17 @@ class TestDispatch:
         paths = write_split_files(str(tmp_path), other, seed=9)
         bad = tiny_flags(paths, out)
         assert main(["export", *bad]) == 1
+
+    def test_stale_checkpoint_error_names_the_checkpoint(self, exported, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("corpus.txt", "model.ckpt"):
+            shutil.copy(os.path.join(exported, name), out / name)
+        other = make_clustered_kg(n_entities=10, n_relations=3, n_triples=40, n_clusters=2, seed=9)
+        capsys.readouterr()
+        assert main(["export", *tiny_flags(write_split_files(str(tmp_path), other, seed=9), str(out))]) == 1
+        err = capsys.readouterr().err
+        assert f"kglm: error: {out / 'model.ckpt'}: checkpoint vocabulary does not match the dataset files" in err
 
     def test_scorer_training_reads_only_the_train_split(self, tiny_dataset, tmp_path):
         # two datasets share the train split and differ in valid and test:

@@ -364,6 +364,25 @@ class TestDataset:
         with pytest.raises(ValueError, match="outside the train split"):
             load_dataset(str(tmp_path / "train.tsv"), None, str(tmp_path / "test.tsv"))
 
+    def test_held_out_relation_error_names_path_and_line(self, tmp_path):
+        train = _write(tmp_path, "train.tsv", "a\tr\tb\nb\tr\tc\n")
+        test = _write(tmp_path, "test.tsv", "c\tr\ta\n\nc\ts\tb\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(test)}:3: relation 's' of the test split .* {re.escape(train)}$"):
+            load_dataset(train, None, test)
+
+    def test_overlap_error_names_path_and_line(self, tmp_path):
+        # the id row of the repeated valid line is row 1; its line is 3
+        train = _write(tmp_path, "train.tsv", "a\tr\tb\nb\tr\tc\n")
+        valid = _write(tmp_path, "valid.tsv", "a\tr\tc\na\tr\tc\nb\tr\tc\r\n")
+        message = rf"^{re.escape(valid)}:3: split valid overlaps split train: .*\(1, 0, 2\) \(line 2 of {re.escape(train)}\)$"
+        with pytest.raises(ValueError, match=message):
+            load_dataset(train, valid, None)
+
+    def test_reserved_train_relation_names_the_file(self, tmp_path):
+        train = _write(tmp_path, "train.tsv", f"a\t{EOS_SURFACE}\tb\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(train)}: relation surface '<eos>' is reserved"):
+            load_dataset(train)
+
     @pytest.mark.parametrize("name", ["valid", "test"])
     @pytest.mark.parametrize("relation", ["r" + INVERSE_SUFFIX, EOS_SURFACE])
     def test_synthesized_relation_outside_train_rejected(self, tmp_path, name, relation):

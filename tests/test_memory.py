@@ -56,3 +56,18 @@ def test_softmax_heads_hold_one_block(monkeypatch):
     block_bytes = bilm.HEAD_BLOCK_CELLS * np.dtype(np.float32).itemsize
     peak = traced_peak(bilm._direction_heads, top, batch, params, False, n_events, head_grads)
     assert peak < 4 * block_bytes
+
+
+def test_export_converts_one_row_at_a_time(tmp_path):
+    # Python floats take about 4x the bytes of the float64 values they
+    # hold, so converting the whole table at once peaks above its size
+    rng = np.random.default_rng(2)
+    table = extract.StaticEmbeddingTable(
+        entity_vecs=rng.standard_normal((3000, 64)),
+        relation_vecs=rng.standard_normal((20, 64)),
+        entity_counts=np.ones(3000, dtype=np.int64),
+        relation_counts=np.ones(20, dtype=np.int64),
+    )
+    names = [f"e{i}" for i in range(3000)], [f"r{i}" for i in range(20)]
+    peak = traced_peak(extract.export_embeddings, table, *names, str(tmp_path / "emb"))
+    assert peak < table.entity_vecs.nbytes

@@ -10,10 +10,14 @@ class TestModelConfig:
         [
             {"num_layers": 0},
             {"proj_dim": -1},
-            {"clip_lo": 3.0, "clip_hi": -3.0},
+            {"clip": 0.0},
             {"dropout": 1.0},
             {"precision": "f16"},
             {"epochs": -1},
+            # a negative learning rate once trained uphill without a word
+            {"learning_rate": -0.02},
+            {"learning_rate": float("nan")},
+            {"clip": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -134,6 +138,12 @@ class TestCheckpoint:
                 lambda t: t.replace('"proj_dim": 3', '"proj_dim": 2', 1),
                 r"array 3 of the header is 'fwd0\.Wh' float32 \(3, 24\), but .* make 'fwd0\.Wh' float32 \(2, 24\)",
                 id="proj-dim",
+            ),
+            pytest.param(
+                None,
+                lambda t: t.replace('"clip": 3.0', '"clip_hi": 3.0, "clip_lo": -3.0', 1),
+                "bad model config in the header.*clip_hi",
+                id="split-clip",
             ),
             pytest.param(
                 None,

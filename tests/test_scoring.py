@@ -337,6 +337,11 @@ class TestScorerTraining:
         with pytest.raises(ValueError, match="margin must be a finite number > 0"):
             ScorerTrainConfig(margin=margin)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.01, float("inf"), float("nan")])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number > 0"):
+            ScorerTrainConfig(lr=lr)
+
     def test_negatives_must_be_positive(self):
         with pytest.raises(ValueError, match="negatives"):
             ScorerTrainConfig(negatives=0)
