@@ -75,6 +75,7 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
             total_fwd += result.loss_fwd * result.n_events
             total_bwd += result.loss_bwd * result.n_events
             events += result.n_events
+            del result, grads  # the next batch's forward pass must not hold these caches too
         trace.append(EpochLoss(total / events, total_fwd / events, total_bwd / events))
         logger.info("epoch %d/%d  loss %.6f", epoch, config.epochs, trace[-1].loss)
         if checkpoint_path and checkpoint_interval and epoch % checkpoint_interval == 0:

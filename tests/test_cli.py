@@ -1,4 +1,5 @@
 import os
+import platform
 import re
 import shutil
 from collections import Counter
@@ -213,6 +214,11 @@ class TestParseConfig:
         cfg.write_bytes(b"p = 1.0\nq = 2.0\n# caf\xc1\n")
         with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: not UTF-8 text")):
             parse_config(str(cfg), [])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_allocator_thresholds_are_pinned():
+    assert kglm.cli.pin_allocator()
 
 
 class TestDispatch:

@@ -8,8 +8,11 @@ import numpy as np
 
 from kglm import bilm, extract
 from kglm.bilm import pack_batch
+from kglm.datasets import make_clustered_kg
+from kglm.graph import build_graph
 from kglm.model import ModelConfig, init_params
-from kglm.walker import Chain
+from kglm.train import train_bilm
+from kglm.walker import Chain, WalkConfig, generate_corpus
 
 
 def traced_peak(fn, *args):
@@ -56,6 +59,19 @@ def test_softmax_heads_hold_one_block(monkeypatch):
     block_bytes = bilm.HEAD_BLOCK_CELLS * np.dtype(np.float32).itemsize
     peak = traced_peak(bilm._direction_heads, top, batch, params, False, n_events, head_grads)
     assert peak < 4 * block_bytes
+
+
+def test_training_holds_one_batch_of_caches():
+    # a wide cell, so a batch's BPTT caches outweigh the parameters and
+    # the optimizer state: four batches must peak like one, not like the
+    # two a batch's forward pass would hold beside the last one's caches
+    graph = build_graph(make_clustered_kg(n_entities=40, n_relations=4, n_triples=200, n_clusters=4, seed=0))
+    chains = generate_corpus(graph, WalkConfig(walks_per_node=4, walk_length=9, seed=0))
+    config = ModelConfig(num_layers=2, hidden_units=256, proj_dim=8, entity_dim=8, relation_dim=8,
+                         batch_size=32, epochs=1, precision="f32", seed=0)
+    one = traced_peak(train_bilm, chains[:32], graph, config)
+    four = traced_peak(train_bilm, chains[:128], graph, config)
+    assert four < 1.25 * one
 
 
 def test_export_converts_one_row_at_a_time(tmp_path):
