@@ -9,7 +9,7 @@ triple classification.
 
 __version__ = "0.1.0"
 
-from .bilm import LayerStates, bilm_backward, bilm_forward, pack_batch, tokenize_chain
+from .bilm import LayerStates, bilm_backward, bilm_forward, pack_batch
 from .extract import (
     StaticEmbeddingTable,
     aggregate_static,
@@ -38,11 +38,11 @@ from .scoring import (
 )
 from .classify import triple_classification_eval
 from .train import train_bilm
-from .walker import Chain, WalkConfig, generate_corpus, next_step_distribution
+from .walker import Corpus, WalkConfig, generate_corpus, next_step_distribution
 
 __all__ = [
     "__version__",
-    "Chain",
+    "Corpus",
     "DatasetSplit",
     "KnowledgeGraph",
     "LayerStates",
@@ -76,7 +76,6 @@ __all__ = [
     "pack_batch",
     "rank_breakdown_by_category",
     "save_checkpoint",
-    "tokenize_chain",
     "train_bilm",
     "train_scorer",
     "triple_classification_eval",

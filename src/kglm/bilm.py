@@ -1,7 +1,7 @@
 """Bidirectional LSTM language model over (entity, relation) pair tokens.
 
-A chain of k entities becomes k pair tokens; the last entity pairs with
-the end-of-sequence relation. The forward stack predicts the next pair
+A walk of k entities is k pair tokens; the last entity pairs with the
+end-of-sequence relation. The forward stack predicts the next pair
 from the prefix, the backward stack the previous pair from the suffix,
 and both share the embedding tables and the factorized softmax heads
 (independent entity and relation distributions per position). The loss
@@ -19,40 +19,24 @@ import numpy as np
 from .lstm import lstm_layer_backward, lstm_layer_forward
 
 
-def tokenize_chain(chain, eos_rel_id):
-    """Chain -> aligned (entity ids, relation ids) arrays of equal
-    length; the terminal entity pairs with the EOS relation. A length-1
-    chain yields a single token and cannot be trained on."""
-    ents = np.asarray(chain.entities, dtype=np.int64)
-    rels = np.concatenate([np.asarray(chain.relations, dtype=np.int64), [eos_rel_id]])
-    return ents, rels
-
-
 @dataclass
 class Batch:
     ents: np.ndarray  # (T, B) int64, padded with 0
     rels: np.ndarray
-    lengths: np.ndarray  # (B,)
-    mask: np.ndarray  # (T, B) float 0/1
+    mask: np.ndarray  # (T, B) float 0/1: column b's sum is walk b's length
 
 
-def pack_batch(token_pairs, dtype=np.float32):
-    """Pad tokenized sequences into a :class:`Batch`, the one padding
-    path of training and extraction. Sequences of any length are kept;
-    a 1-token sequence yields no prediction event."""
-    B = len(token_pairs)
-    T = max(len(e) for e, _ in token_pairs)
-    ents = np.zeros((T, B), dtype=np.int64)
-    rels = np.zeros((T, B), dtype=np.int64)
-    lengths = np.zeros(B, dtype=np.int64)
-    mask = np.zeros((T, B), dtype=dtype)
-    for b, (e, r) in enumerate(token_pairs):
-        n = len(e)
-        ents[:n, b] = e
-        rels[:n, b] = r
-        lengths[b] = n
-        mask[:n, b] = 1.0
-    return Batch(ents=ents, rels=rels, lengths=lengths, mask=mask)
+def pack_batch(corpus, dtype=np.float32):
+    """The time-major :class:`Batch` of a :class:`kglm.walker.Corpus`,
+    cut to its longest walk: the one padding path of training and
+    extraction. Walks of any length are kept; a 1-token walk yields no
+    prediction event."""
+    T = int(corpus.lengths.max())
+    return Batch(
+        ents=np.ascontiguousarray(corpus.ents[:, :T].T),
+        rels=np.ascontiguousarray(corpus.rels[:, :T].T),
+        mask=(np.arange(T)[:, None] < corpus.lengths).astype(dtype),
+    )
 
 
 @dataclass
@@ -78,11 +62,6 @@ class BatchStates:
     x: np.ndarray  # (T, B, D)
     fwd: np.ndarray  # (L, T, B, P)
     bwd: np.ndarray
-    lengths: np.ndarray
-
-    def per_sequence(self, b):
-        n = int(self.lengths[b])
-        return LayerStates(x=self.x[:n, b], fwd=self.fwd[:, :n, b], bwd=self.bwd[:, :n, b])
 
 
 @dataclass
@@ -231,7 +210,7 @@ def bilm_states(batch, params, config, train=False, rng=None):
     )
     outs_f, cache_f = _direction_forward(x, batch.mask, params.fwd, config, False, train, rng)
     outs_b, cache_b = _direction_forward(x, batch.mask, params.bwd, config, True, train, rng)
-    states = BatchStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b), lengths=batch.lengths)
+    states = BatchStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b))
     return states, ({"fwd": cache_f, "bwd": cache_b} if train else None)
 
 

@@ -117,8 +117,8 @@ def cmd_walk(rc):
     os.makedirs(rc.out, exist_ok=True)
     path = _paths(rc)["corpus"]
     config = rc.walk
-    chains = generate_corpus(graph, config, out_path=path)
-    steps = np.array([len(c.relations) for c in chains], dtype=np.int64)
+    corpus = generate_corpus(graph, config, out_path=path)
+    steps = corpus.lengths - 1
     stats = [
         f"chains\t{len(steps)}",
         f"walk_steps\t{steps.sum()}",
@@ -126,7 +126,7 @@ def cmd_walk(rc):
     ]
     stats += [f"chains_of_{k}_steps\t{n}" for k, n in enumerate(np.bincount(steps, minlength=config.n_steps + 1))]
     _write_lines(_paths(rc)["walk_stats"], stats)
-    print(f"wrote {len(chains)} chains to {path}")
+    print(f"wrote {len(corpus)} chains to {path}")
     return 0
 
 
@@ -135,8 +135,10 @@ def cmd_train(rc):
     graph, _ = _load_graph(rc)
     paths = _paths(rc)
     _require_input(paths["corpus"], "corpus", "walk")
-    chains = read_corpus(paths["corpus"], graph)
-    _, trace = train_bilm(chains, graph, rc.model, checkpoint_path=paths["ckpt"],
+    corpus = read_corpus(paths["corpus"], graph)
+    if not np.any(corpus.lengths >= 2):
+        raise ValueError(f"{paths['corpus']}: no walk of two or more tokens to train on; rerun the walk stage")
+    _, trace = train_bilm(corpus, graph, rc.model, checkpoint_path=paths["ckpt"],
                           checkpoint_interval=rc.checkpoint_interval)
     rows = (f"{i}\t{e.loss:.6f}\t{e.loss_fwd:.6f}\t{e.loss_bwd:.6f}" for i, e in enumerate(trace, start=1))
     _write_lines(paths["trace"], rows)
@@ -151,8 +153,10 @@ def cmd_export(rc):
     _require_input(paths["corpus"], "corpus", "walk")
     _require_input(paths["ckpt"], "checkpoint", "train")
     params, mconfig = _load_model(rc, graph)
-    chains = read_corpus(paths["corpus"], graph)
-    table = aggregate_static(chains, params, mconfig)
+    corpus = read_corpus(paths["corpus"], graph)
+    if not len(corpus):
+        raise ValueError(f"{paths['corpus']}: no walks to pool; rerun the walk stage")
+    table = aggregate_static(corpus, params, mconfig)
     ent_path, rel_path = export_embeddings(table, graph.entities.items, graph.relations.items, paths["emb"])
     print(f"wrote {ent_path} and {rel_path}")
     return 0

@@ -15,23 +15,22 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .bilm import LayerStates, bilm_states, pack_batch, tokenize_chain
+from .bilm import LayerStates, bilm_states, pack_batch
 from .files import atomic_open, open_text
 
 
-def contextual_reps(chain, params, config):
-    """Per-position representations of one chain: the pair embedding
-    plus every layer's forward and backward state (2L+1 vectors per
-    position)."""
-    if np.any(chain.entities >= params.n_entities) or np.any(chain.entities < 0):
-        raise ValueError("chain contains an entity outside the model vocabulary")
-    if len(chain.relations) and (
-        np.any(chain.relations >= params.n_relations) or np.any(chain.relations < 0)
-    ):
-        raise ValueError("chain contains a relation outside the model vocabulary")
-    batch = pack_batch([tokenize_chain(chain, params.n_relations - 1)], dtype=config.dtype)
-    states, _ = bilm_states(batch, params, config)
-    return states.per_sequence(0)
+def contextual_reps(walk, params, config):
+    """Per-position representations of a one-walk corpus such as
+    ``corpus[i]``: the pair embedding plus every layer's forward and
+    backward state (2L+1 vectors per position)."""
+    if len(walk) != 1:
+        raise ValueError(f"expected a one-walk corpus, got {len(walk)} walks")
+    for ids, n, what in ((walk.ents, params.n_entities, "an entity"), (walk.rels, params.n_relations, "a relation")):
+        if np.any(ids >= n) or np.any(ids < 0):
+            raise ValueError(f"walk contains {what} outside the model vocabulary")
+    # one walk packs with no padding: the batch's only column is all of it
+    states, _ = bilm_states(pack_batch(walk, dtype=config.dtype), params, config)
+    return LayerStates(x=states.x[:, 0], fwd=states.fwd[:, :, 0], bwd=states.bwd[:, :, 0])
 
 
 def combine(layer_states, lam):
@@ -59,11 +58,11 @@ class StaticEmbeddingTable:
         return self.entity_vecs.shape[1]
 
 
-# chains per batch through the direction stacks
+# walks per batch through the direction stacks
 CHUNK_SIZE = 256
 
 
-def aggregate_layered(chains, params, config):
+def aggregate_layered(corpus, params, config):
     """Sum the combined vector of every corpus occurrence, attributed to
     both the entity and the relation of its pair token. Returns
     ``(ent_sums, ent_counts, rel_sums, rel_counts)``: float64 sums of
@@ -73,7 +72,7 @@ def aggregate_layered(chains, params, config):
     The name is older than the combined sums (the pooling once kept one
     table per layer). It stays because ``perfbench/tracer.py`` wraps it
     and reports its self time as the pooling cost of export."""
-    if not chains:
+    if not len(corpus):
         raise ValueError("cannot aggregate over an empty corpus")
     nE, nR = params.n_entities, params.n_relations
     L = len(params.fwd)
@@ -82,9 +81,8 @@ def aggregate_layered(chains, params, config):
     ent_sums, rel_sums = np.zeros((nE, dim)), np.zeros((nR, dim))
     ent_counts, rel_counts = np.zeros(nE, dtype=np.int64), np.zeros(nR, dtype=np.int64)
 
-    tokenized = [tokenize_chain(c, nR - 1) for c in chains]
-    for start in range(0, len(tokenized), CHUNK_SIZE):
-        batch = pack_batch(tokenized[start : start + CHUNK_SIZE], dtype=config.dtype)
+    for start in range(0, len(corpus), CHUNK_SIZE):
+        batch = pack_batch(corpus[start : start + CHUNK_SIZE], dtype=config.dtype)
         states, _ = bilm_states(batch, params, config)
         # Real positions in sequence-major order, so every item's sums
         # accumulate in the same order as one scatter per sequence would.
@@ -103,12 +101,12 @@ def aggregate_layered(chains, params, config):
     return ent_sums, ent_counts, rel_sums, rel_counts
 
 
-def aggregate_static(chains, params, config):
+def aggregate_static(corpus, params, config):
     """Static per-item table: the mean over every occurrence of the
     combined vector [x_t, uniform mean of the L layer states]. Items
     never seen in the corpus get their own embedding in its slot of x
     and zeros elsewhere."""
-    ent_sums, ent_counts, rel_sums, rel_counts = aggregate_layered(chains, params, config)
+    ent_sums, ent_counts, rel_sums, rel_counts = aggregate_layered(corpus, params, config)
     ent = ent_sums / np.maximum(ent_counts, 1)[:, None]
     rel = rel_sums / np.maximum(rel_counts, 1)[:, None]
     d_e = params.ent_emb.shape[1]

@@ -11,6 +11,7 @@ import numpy as np
 
 from .bilm import bilm_backward, bilm_forward, pack_batch
 from .model import ModelConfig, init_params
+from .walker import Corpus
 
 # central-difference step
 STEP = 1e-5
@@ -19,13 +20,12 @@ N_RELATIONS = 6
 
 
 def _random_batch(rng, n_entities, n_relations, n_seqs=6, max_len=7):
-    pairs = []
-    for _ in range(n_seqs):
-        n = int(rng.integers(2, max_len + 1))
-        ents = rng.integers(n_entities, size=n).astype(np.int64)
-        rels = rng.integers(n_relations, size=n).astype(np.int64)
-        pairs.append((ents, rels))
-    return pack_batch(pairs, dtype=np.float64)
+    corpus = Corpus(*np.zeros((2, n_seqs, max_len), dtype=np.int64), lengths=np.zeros(n_seqs, dtype=np.int64))
+    for i in range(n_seqs):
+        n = corpus.lengths[i] = rng.integers(2, max_len + 1)
+        corpus.ents[i, :n] = rng.integers(n_entities, size=n)
+        corpus.rels[i, :n] = rng.integers(n_relations, size=n)
+    return pack_batch(corpus, dtype=np.float64)
 
 
 def run_gradcheck(seed=7, n_coords=120):

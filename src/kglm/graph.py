@@ -65,12 +65,21 @@ class Vocab:
         return len(self.items)
 
 
+def _check_surfaces(surfaces, where=""):
+    """Raise ValueError, prefixed with ``where``, for the first surface
+    that is empty or holds whitespace: the walk corpus separates tokens
+    with spaces and walks with newlines."""
+    for s in surfaces:
+        if not s or " " in s or "\t" in s or "\n" in s or "\r" in s:
+            raise ValueError(f"{where}surface {s!r} is empty or holds whitespace")
+
+
 def load_triples(path):
     """Read a TSV triple file, returning (head, relation, tail) surface
     tuples in file order. Empty lines are skipped; any other line with a
-    field count != 3 raises :class:`TripleParseError` with its line
-    number, and so does a byte that is not UTF-8. An empty file (no
-    triples) is an error.
+    field count != 3 or a surface that is empty or holds a space raises
+    :class:`TripleParseError` with its line number, and so does a byte
+    that is not UTF-8. An empty file (no triples) is an error.
     """
     triples = []
     with open_text(path) as fh:
@@ -82,6 +91,7 @@ def load_triples(path):
                 raise TripleParseError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
                 )
+            _check_surfaces(parts, f"{path}:{lineno}: ")
             triples.append(parts)
     if not triples:
         raise TripleParseError(f"{path}: no triples found")
@@ -186,7 +196,8 @@ def _drop_duplicates(triples):
 def build_graph(triples, add_inverses=True, extra_entities=()):
     """Index surface triples into a :class:`KnowledgeGraph`.
 
-    Ids follow first appearance (head before tail within a triple);
+    Surfaces must be non-empty and free of whitespace. Ids follow first
+    appearance (head before tail within a triple);
     ``extra_entities`` not already seen get the next ids, in order, and
     no edges. Inverse relation ids are base id + number of base
     relations; the EOS sentinel takes the final relation id. Duplicate
@@ -207,6 +218,7 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
     for e in extra_entities:
         entities.add(e)
     n_base = len(relations)
+    _check_surfaces(entities.items + relations.items)
     if add_inverses:
         for r in list(relations.items[:n_base]):
             inv = r + INVERSE_SUFFIX

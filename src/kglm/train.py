@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeds
-from .bilm import bilm_backward, bilm_forward, pack_batch, tokenize_chain
+from .bilm import bilm_backward, bilm_forward, pack_batch
 from .model import init_params, save_checkpoint
 from .optim import Adam
 
@@ -22,22 +22,20 @@ class EpochLoss(NamedTuple):
     loss_bwd: float
 
 
-def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=0):
-    """Train on a chain corpus; returns (params, trace), with one
-    :class:`EpochLoss` per epoch in the trace.
+def train_bilm(corpus, graph, config, checkpoint_path=None, checkpoint_interval=0):
+    """Train on a walk :class:`kglm.walker.Corpus`; returns (params,
+    trace), with one :class:`EpochLoss` per epoch in the trace.
 
-    Chains are reshuffled every epoch from a seeded stream and batched;
-    chains shorter than two tokens are skipped with a logged count.
+    Walks are reshuffled every epoch from a seeded stream and batched;
+    walks shorter than two tokens are skipped with a logged count.
     With epochs=0 the freshly initialized parameters come back with an
     empty trace.
     """
-    eos = graph.eos_id
-    tokens = [tokenize_chain(c, eos) for c in chains]
-    usable = [(e, r) for e, r in tokens if len(e) >= 2]
-    skipped = len(tokens) - len(usable)
+    usable = corpus[corpus.lengths >= 2]
+    skipped = len(corpus) - len(usable)
     if skipped:
         logger.warning("skipped %d untrainable chains (fewer than 2 tokens)", skipped)
-    if not usable:
+    if not len(usable):
         raise ValueError("corpus has no trainable chains")
 
     params = init_params(config, graph.n_entities, graph.n_relations)
@@ -61,7 +59,7 @@ def train_bilm(chains, graph, config, checkpoint_path=None, checkpoint_interval=
         events = 0
         for bi, start in enumerate(range(0, n, bs)):
             idx = order[start : start + bs]
-            batch = pack_batch([usable[i] for i in idx], dtype=config.dtype)
+            batch = pack_batch(usable[idx], dtype=config.dtype)
             rng = seeds.derived_rng(config.seed, seeds.DROPOUT, epoch, bi)
             result = bilm_forward(batch, params, config, rng=rng)
             if not np.isfinite(result.loss):

@@ -51,23 +51,39 @@ class WalkConfig:
 
 
 @dataclass
-class Chain:
-    """One walk: entity ids and the relation ids between them."""
+class Corpus:
+    """Walks as (entity, relation) pair tokens, one walk per row of the
+    (n, T) int64 arrays ``ents`` and ``rels``. Row i's first
+    ``lengths[i]`` columns are its tokens: each entity pairs with the
+    relation the walk takes next, and the last entity with the graph's
+    end-of-sequence relation. The rest of the row is 0."""
 
-    entities: np.ndarray
-    relations: np.ndarray
+    ents: np.ndarray
+    rels: np.ndarray
+    lengths: np.ndarray
 
-    def __post_init__(self):
-        if len(self.entities) != len(self.relations) + 1:
-            raise ValueError("chain must alternate entities and relations")
+    def __len__(self):
+        return len(self.lengths)
 
-    def surfaces(self, graph):
-        out = []
-        for i, e in enumerate(self.entities):
-            out.append(graph.entities.items[e])
-            if i < len(self.relations):
-                out.append(graph.relations.items[self.relations[i]])
-        return out
+    def __getitem__(self, rows):
+        """The walks of ``rows``: an int (a one-walk corpus), a slice, or
+        an array of row ids or a boolean row mask."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return Corpus(self.ents[rows], self.rels[rows], self.lengths[rows])
+
+
+def _corpus(ents, rels, steps, eos_id):
+    """The corpus of walks whose step counts are ``steps`` (n,) and whose
+    entity and relation ids, walk after walk, are ``ents`` and ``rels``."""
+    lengths = steps + 1
+    cols = np.arange(int(lengths.max(initial=0)))
+    real = cols < lengths[:, None]
+    tok_ents = np.zeros(real.shape, dtype=np.int64)
+    tok_ents[real] = ents
+    tok_rels = np.where(real, eos_id, 0)
+    tok_rels[cols < steps[:, None]] = rels
+    return Corpus(tok_ents, tok_rels, lengths)
 
 
 def transition_weight(prev_entity, cur_entity, next_entity, graph, p, q):
@@ -107,12 +123,12 @@ def next_step_distribution(prev_entity, cur_entity, graph, p, q):
 
 
 def generate_corpus(graph, config, out_path=None):
-    """Generate walks_per_node chains per entity in canonical
-    (entity id, walk index) order, optionally writing them to
-    ``out_path`` (one chain per line, space-separated surfaces). The
-    first step of a walk is uniform over its start's out-edges, later
-    steps follow the second-order rule, and a dead end truncates the
-    chain (a start with no out-edges yields a single-entity chain)."""
+    """Generate walks_per_node walks per entity as a :class:`Corpus` in
+    canonical (entity id, walk index) order, optionally writing it to
+    ``out_path`` (see :func:`write_corpus`). The first step of a walk is
+    uniform over its start's out-edges, later steps follow the
+    second-order rule, and a dead end truncates the walk (a start with
+    no out-edges yields a one-token walk)."""
     n_steps = config.n_steps
     starts = np.repeat(np.arange(graph.n_entities, dtype=np.int64), config.walks_per_node)
     ents, rels, steps = kernels.walk_steps(
@@ -127,40 +143,31 @@ def generate_corpus(graph, config, out_path=None):
         1.0 / config.p,
         1.0 / config.q,
     )
-    chains = [
-        Chain(entities=ents[i, : k + 1].copy(), relations=rels[i, :k].copy())
-        for i, k in enumerate(steps.tolist())
-    ]
+    corpus = _corpus(ents[ents >= 0], rels[rels >= 0], steps, graph.eos_id)
     truncated = int(np.count_nonzero(steps < n_steps))
     if truncated:
-        logger.warning("%d of %d chains hit a dead end and were truncated", truncated, len(chains))
+        logger.warning("%d of %d chains hit a dead end and were truncated", truncated, len(corpus))
     if out_path is not None:
-        write_corpus(chains, graph, out_path)
-    return chains
+        write_corpus(corpus, graph, out_path)
+    return corpus
 
 
-def _check_surfaces(graph):
-    for voc in (graph.entities, graph.relations):
-        for s in voc.items:
-            if " " in s or "\t" in s or "\n" in s:
-                raise ValueError(f"token {s!r} contains whitespace; cannot serialize")
-
-
-def write_corpus(chains, graph, path):
-    """Write one chain per line, atomically."""
-    _check_surfaces(graph)
+def write_corpus(corpus, graph, path):
+    """Write one walk per line, ``e1 r1 e2 ... ek`` as surfaces separated
+    by single spaces, atomically."""
+    ent_names, rel_names = graph.entities.items, graph.relations.items
     with atomic_open(path) as fh:
-        for chain in chains:
-            fh.write(" ".join(chain.surfaces(graph)))
-            fh.write("\n")
+        for ents, rels, n in zip(corpus.ents.tolist(), corpus.rels.tolist(), corpus.lengths.tolist()):
+            steps = (f"{ent_names[e]} {rel_names[r]} " for e, r in zip(ents[: n - 1], rels))
+            fh.write("".join(steps) + ent_names[ents[n - 1]] + "\n")
 
 
 def read_corpus(path, graph):
-    """Parse a corpus file back into :class:`Chain` objects. Raises
-    ValueError naming ``path`` and the line for an even token count, a
-    surface outside the graph's vocabulary, an end-of-sequence relation
-    inside a chain, or bytes that are not UTF-8."""
-    chains = []
+    """Parse a corpus file back into a :class:`Corpus`. Raises ValueError
+    naming ``path`` and the line for an even token count, a surface
+    outside the graph's vocabulary, an end-of-sequence relation inside a
+    walk, or bytes that are not UTF-8."""
+    ents, rels, steps = [], [], []
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -170,11 +177,13 @@ def read_corpus(path, graph):
             if len(toks) % 2 == 0:
                 raise ValueError(f"{path}:{lineno}: even token count, not a chain")
             try:
-                ents = np.array([graph.entities.id_of(t) for t in toks[0::2]], dtype=np.int64)
-                rels = np.array([graph.relations.id_of(t) for t in toks[1::2]], dtype=np.int64)
+                ents.extend(graph.entities.id_of(t) for t in toks[0::2])
+                walk_rels = [graph.relations.id_of(t) for t in toks[1::2]]
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if np.any(rels == graph.eos_id):
+            if graph.eos_id in walk_rels:
                 raise ValueError(f"{path}:{lineno}: {EOS_SURFACE!r} inside a chain")
-            chains.append(Chain(entities=ents, relations=rels))
-    return chains
+            rels.extend(walk_rels)
+            steps.append(len(walk_rels))
+    return _corpus(np.array(ents, dtype=np.int64), np.array(rels, dtype=np.int64),
+                   np.array(steps, dtype=np.int64), graph.eos_id)

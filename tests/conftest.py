@@ -15,7 +15,7 @@ from kglm.extract import aggregate_static
 from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig
 from kglm.train import train_bilm
-from kglm.walker import WalkConfig, generate_corpus
+from kglm.walker import Corpus, WalkConfig, generate_corpus
 
 
 @pytest.fixture
@@ -81,6 +81,25 @@ def step(graph, prev, cur, p, q, n, rng):
     return graph.adj_rel[edge], graph.adj_nbr[edge]
 
 
+def pair_corpus(pairs):
+    """The :class:`Corpus` of token rows given as (entity ids, relation
+    ids) pairs of equal length, padded by hand."""
+    lengths = np.array([len(e) for e, _ in pairs], dtype=np.int64)
+    ents = np.zeros((len(pairs), lengths.max(initial=0)), dtype=np.int64)
+    rels = np.zeros_like(ents)
+    for i, (e, r) in enumerate(pairs):
+        assert len(e) == len(r)
+        ents[i, : len(e)] = e
+        rels[i, : len(r)] = r
+    return Corpus(ents, rels, lengths)
+
+
+def walk_corpus(walks, eos):
+    """The :class:`Corpus` of walks given as (k entity ids, k - 1 relation
+    ids) pairs: the last entity of each pairs with ``eos``."""
+    return pair_corpus([(e, [*r, eos]) for e, r in walks])
+
+
 def to_ids(graph, surface_triples):
     return np.array(
         [
@@ -106,7 +125,7 @@ def toy():
     test_ids = to_ids(graph, test)
     fidx = build_filter_index(graph.n_entities, graph.n_relations, train_ids, valid_ids, test_ids)
 
-    chains = generate_corpus(graph, WalkConfig(walks_per_node=20, walk_length=21, seed=5))
+    corpus = generate_corpus(graph, WalkConfig(walks_per_node=20, walk_length=21, seed=5))
     corpus_elapsed = time.monotonic() - t0
 
     config = ModelConfig(
@@ -122,16 +141,16 @@ def toy():
         precision="f32",
     )
     t1 = time.monotonic()
-    params, trace = train_bilm(chains, graph, config)
+    params, trace = train_bilm(corpus, graph, config)
     train_elapsed = time.monotonic() - t1
-    table = aggregate_static(chains, params, config)
+    table = aggregate_static(corpus, params, config)
     return {
         "graph": graph,
         "train": train_ids,
         "valid": valid_ids,
         "test": test_ids,
         "filter_index": fidx,
-        "chains": chains,
+        "corpus": corpus,
         "config": config,
         "params": params,
         "trace": [epoch.loss for epoch in trace],

@@ -26,9 +26,9 @@ from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig, init_params
 from kglm.ranking import filtered_rank, link_prediction_eval
 from kglm.scoring import Scorer, ScorerTrainConfig, init_scorer_from_table, init_scorer_random, train_scorer
-from kglm.walker import Chain, next_step_distribution
+from kglm.walker import next_step_distribution
 
-from conftest import random_graph, step
+from conftest import random_graph, step, walk_corpus
 from test_classify import FixedScorer, brute_force_best_accuracy
 from test_scoring import rank_oracle
 
@@ -175,8 +175,8 @@ class TestCriterion6StructuralInvariants:
             seed=1,
         )
         params = init_params(config, 12, 6)
-        chain = Chain(entities=np.array([0, 3, 7, 2]), relations=np.array([1, 0, 2]))
-        states = contextual_reps(chain, params, config)
+        walk = walk_corpus([([0, 3, 7, 2], [1, 0, 2])], params.n_relations - 1)
+        states = contextual_reps(walk, params, config)
         # 2L+1 vectors per position: the pair embedding, L forward, L backward
         L = config.num_layers
         reps_ok = len(states.x) == 4 and states.fwd.shape[:2] == states.bwd.shape[:2] == (L, 4)
@@ -185,7 +185,7 @@ class TestCriterion6StructuralInvariants:
         for layers in (blown.fwd, blown.bwd):
             for layer in layers:
                 layer.Wp *= 500.0
-        blown_states = contextual_reps(chain, blown, config)
+        blown_states = contextual_reps(walk, blown, config)
         clip_ok = (
             blown_states.fwd.min() >= -3.0
             and blown_states.fwd.max() <= 3.0
@@ -199,7 +199,7 @@ class TestCriterion6StructuralInvariants:
             layer.Wh[:] = 0.0
             layer.b[:] = 0.0
             layer.Wp[:] = 0.0
-        ident_states = contextual_reps(chain, ident, config)
+        ident_states = contextual_reps(walk, ident, config)
         residual_ok = np.array_equal(ident_states.fwd[2], ident_states.fwd[1]) and np.array_equal(
             ident_states.bwd[2], ident_states.bwd[1]
         )

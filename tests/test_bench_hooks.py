@@ -11,9 +11,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import kglm
 import kglm.cli
+from kglm.datasets import make_clustered_kg
 from kglm.config import _KEYS
 
 from conftest import parse_config
@@ -103,3 +106,18 @@ def test_workload_flags_build_every_config(workload, tmp_path):
         stage, field = _KEYS[flag[2:].replace("-", "_")]
         owner = getattr(rc, stage) if stage else rc
         assert getattr(owner, field.name) == field.type(raw), flag
+
+
+def test_calibrate_library_calls():
+    # perfbench/calibrate.py drives the library, not the CLI: it counts
+    # the corpus, trains on its first rows and pools all of it, as here
+    # at a desk size
+    graph = kglm.build_graph(make_clustered_kg(n_entities=40, n_relations=4, n_triples=160, seed=0))
+    corpus = kglm.generate_corpus(graph, kglm.WalkConfig(p=0.5, q=2.0, walks_per_node=3, walk_length=7, seed=1))
+    assert len(corpus) == 3 * graph.n_entities
+    config = kglm.ModelConfig(num_layers=2, hidden_units=8, proj_dim=4, entity_dim=4, relation_dim=4,
+                              batch_size=32, epochs=1, learning_rate=0.02, seed=1)
+    params, trace = kglm.train_bilm(corpus[:64], graph, config)
+    assert len(trace) == 1 and np.isfinite(trace[0].loss)
+    table = kglm.aggregate_static(corpus, params, config)
+    assert table.entity_counts.sum() == table.relation_counts.sum() == corpus.lengths.sum()

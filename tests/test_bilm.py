@@ -9,12 +9,13 @@ from kglm.bilm import (
     log_softmax,
     pack_batch,
     softmax_nll,
-    tokenize_chain,
 )
 from kglm.cli import GRADCHECK_TOLERANCE
 from kglm.gradcheck import run_gradcheck
 from kglm.model import ModelConfig, init_params
-from kglm.walker import Chain
+from kglm.walker import Corpus, WalkConfig, generate_corpus, read_corpus
+
+from conftest import pair_corpus
 
 
 def small_config(**overrides):
@@ -39,26 +40,44 @@ def random_batch(rng, n_ent, n_rel, n_seqs=5, max_len=6, dtype=np.float64):
     for _ in range(n_seqs):
         n = int(rng.integers(2, max_len + 1))
         pairs.append((rng.integers(n_ent, size=n), rng.integers(n_rel, size=n)))
-    return pack_batch(pairs, dtype=dtype)
+    return pack_batch(pair_corpus(pairs), dtype=dtype)
 
 
 def batch_of_lengths(rng, n_ent, n_rel, lengths, dtype=np.float64):
-    return pack_batch([(rng.integers(n_ent, size=n), rng.integers(n_rel, size=n)) for n in lengths], dtype=dtype)
+    return pack_batch(pair_corpus([(rng.integers(n_ent, size=n), rng.integers(n_rel, size=n)) for n in lengths]),
+                      dtype=dtype)
 
 
 class TestTokenize:
-    def test_simple_chain(self):
-        chain = Chain(entities=np.array([3, 7]), relations=np.array([1]))
-        ents, rels = tokenize_chain(chain, eos_rel_id=9)
-        assert list(ents) == [3, 7]
-        assert list(rels) == [1, 9]
+    def test_simple_chain(self, path_graph, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("b r2 c\n", encoding="utf-8")
+        corpus = read_corpus(str(path), path_graph)
+        assert corpus.ents.tolist() == [[1, 2]]
+        assert corpus.rels.tolist() == [[1, path_graph.eos_id]]
 
-    def test_21_token_chain_gives_11_pairs(self):
-        chain = Chain(entities=np.arange(11), relations=np.arange(10))
-        ents, rels = tokenize_chain(chain, eos_rel_id=99)
-        assert len(ents) == 11
+    def test_21_token_chain_gives_11_pairs(self, ring_graph):
+        corpus = generate_corpus(ring_graph, WalkConfig(walks_per_node=1, walk_length=21))
+        assert corpus.lengths.tolist() == [11] * ring_graph.n_entities
         # 10 forward prediction targets (positions 2..11)
-        assert len(ents) - 1 == 10
+        assert pack_batch(corpus).mask[1:].sum(axis=0).tolist() == [10] * ring_graph.n_entities
+
+
+class TestPackBatch:
+    def test_ragged_corpus_equals_hand_padded_batch(self):
+        # walks of 3, 1 and 2 tokens; padding is 0 and the batch is cut
+        # to the longest walk
+        corpus = Corpus(
+            ents=np.array([[4, 5, 6, 0], [7, 0, 0, 0], [8, 9, 0, 0]]),
+            rels=np.array([[1, 2, 3, 0], [3, 0, 0, 0], [2, 3, 0, 0]]),
+            lengths=np.array([3, 1, 2]),
+        )
+        batch = pack_batch(corpus, dtype=np.float64)
+        np.testing.assert_array_equal(batch.ents, [[4, 7, 8], [5, 0, 9], [6, 0, 0]])
+        np.testing.assert_array_equal(batch.rels, [[1, 3, 2], [2, 0, 3], [3, 0, 0]])
+        np.testing.assert_array_equal(batch.mask, [[1, 1, 1], [1, 0, 1], [1, 0, 0]])
+        assert batch.mask.dtype == np.float64
+        assert batch.ents.flags.c_contiguous and batch.rels.flags.c_contiguous
 
 
 class TestForward:

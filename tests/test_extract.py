@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kglm.bilm import LayerStates, bilm_states, pack_batch, tokenize_chain
+from kglm.bilm import LayerStates, bilm_states, pack_batch
 from kglm.extract import (
     aggregate_layered,
     aggregate_static,
@@ -14,7 +14,8 @@ from kglm.extract import (
     load_embeddings,
 )
 from kglm.model import ModelConfig, init_params
-from kglm.walker import Chain
+
+from conftest import walk_corpus
 
 
 def make_model(n_ent=8, n_rel=5, layers=2, precision="f64", seed=3):
@@ -32,21 +33,23 @@ def make_model(n_ent=8, n_rel=5, layers=2, precision="f64", seed=3):
     return config, init_params(config, n_ent, n_rel)
 
 
-def chain(ents, rels):
-    return Chain(entities=np.array(ents, dtype=np.int64), relations=np.array(rels, dtype=np.int64))
+def walks(params, *pairs):
+    """The corpus of (entity ids, relation ids) walks over the model's
+    vocabulary, whose last relation id is the end of sequence."""
+    return walk_corpus(pairs, params.n_relations - 1)
 
 
 class TestContextualReps:
     def test_2l_plus_1_representations(self):
         config, params = make_model(layers=4)
-        states = contextual_reps(chain([0, 1, 2], [0, 1]), params, config)
+        states = contextual_reps(walks(params, ([0, 1, 2], [0, 1])), params, config)
         # per position: x, then 4 forward and 4 backward layer states
         assert states.x.shape == (3, 5 + 3)
         assert states.fwd.shape == states.bwd.shape == (4, 3, 4)
 
     def test_deterministic(self):
         config, params = make_model()
-        c = chain([0, 1, 2], [0, 1])
+        c = walks(params, ([0, 1, 2], [0, 1]))
         s1 = contextual_reps(c, params, config)
         s2 = contextual_reps(c, params, config)
         assert np.array_equal(s1.fwd, s2.fwd)
@@ -55,50 +58,50 @@ class TestContextualReps:
     def test_context_dependence(self):
         config, params = make_model()
         # entity 1 at the same position in two different contexts
-        s1 = contextual_reps(chain([0, 1, 2], [0, 1]), params, config)
-        s2 = contextual_reps(chain([3, 1, 4], [2, 3]), params, config)
+        s1 = contextual_reps(walks(params, ([0, 1, 2], [0, 1])), params, config)
+        s2 = contextual_reps(walks(params, ([3, 1, 4], [2, 3])), params, config)
         d = np.linalg.norm(s1.layer_concat()[:, 1] - s2.layer_concat()[:, 1])
         assert d > 0.0
 
     def test_unknown_token_rejected(self):
         config, params = make_model(n_ent=4, n_rel=3)
         with pytest.raises(ValueError, match="entity"):
-            contextual_reps(chain([0, 99], [0]), params, config)
+            contextual_reps(walks(params, ([0, 99], [0])), params, config)
         with pytest.raises(ValueError, match="relation"):
-            contextual_reps(chain([0, 1], [42]), params, config)
+            contextual_reps(walks(params, ([0, 1], [42])), params, config)
 
 
 class TestCombine:
     def test_selector_lambda(self):
         config, params = make_model()
-        states = contextual_reps(chain([0, 1, 2], [0, 1]), params, config)
+        states = contextual_reps(walks(params, ([0, 1, 2], [0, 1])), params, config)
         out = combine(states, [1.0, 0.0])
         expected = np.concatenate([states.x, states.layer_concat()[0]], axis=1)
         np.testing.assert_array_equal(out, expected)
 
     def test_zero_lambda(self):
         config, params = make_model()
-        states = contextual_reps(chain([0, 1], [0]), params, config)
+        states = contextual_reps(walks(params, ([0, 1], [0])), params, config)
         out = combine(states, [0.0, 0.0])
         np.testing.assert_array_equal(out[:, : states.x.shape[1]], states.x)
         assert np.all(out[:, states.x.shape[1] :] == 0.0)
 
     def test_uniform_lambda_equals_mean(self):
         config, params = make_model(layers=3)
-        states = contextual_reps(chain([0, 1, 2, 3], [0, 1, 2]), params, config)
+        states = contextual_reps(walks(params, ([0, 1, 2, 3], [0, 1, 2])), params, config)
         out = combine(states, np.full(3, 1.0 / 3.0))
         mean = states.layer_concat().mean(axis=0)  # independent mean
         np.testing.assert_allclose(out[:, states.x.shape[1] :], mean, atol=1e-12)
 
     def test_dimension_law(self):
         config, params = make_model()
-        states = contextual_reps(chain([0, 1], [0]), params, config)
+        states = contextual_reps(walks(params, ([0, 1], [0])), params, config)
         out = combine(states, [0.3, 0.7])
         assert out.shape[1] == (config.entity_dim + config.relation_dim) + 2 * config.proj_dim
 
     def test_linearity_in_lambda(self):
         config, params = make_model()
-        states = contextual_reps(chain([0, 1, 2], [0, 1]), params, config)
+        states = contextual_reps(walks(params, ([0, 1, 2], [0, 1])), params, config)
         rng = np.random.default_rng(0)
         for _ in range(5):
             l1, l2 = rng.normal(size=2 * 2).reshape(2, 2)
@@ -111,7 +114,7 @@ class TestCombine:
 
     def test_length_mismatch(self):
         config, params = make_model()
-        states = contextual_reps(chain([0, 1], [0]), params, config)
+        states = contextual_reps(walks(params, ([0, 1], [0])), params, config)
         with pytest.raises(ValueError, match="per layer"):
             combine(states, [1.0, 2.0, 3.0])
 
@@ -119,16 +122,16 @@ class TestCombine:
 class TestAggregate:
     def test_single_occurrence_equals_contextual_vector(self):
         config, params = make_model()
-        chains = [chain([0, 1, 2], [0, 1])]
-        table = aggregate_static(chains, params, config)
-        states = contextual_reps(chains[0], params, config)
+        corpus = walks(params, ([0, 1, 2], [0, 1]))
+        table = aggregate_static(corpus, params, config)
+        states = contextual_reps(corpus[0], params, config)
         vecs = combine(states, np.full(2, 0.5))
         np.testing.assert_allclose(table.entity_vecs[1], vecs[1], atol=1e-12)
         assert table.entity_counts[1] == 1
 
     def test_absent_entity_fallback(self):
         config, params = make_model(n_ent=8)
-        table = aggregate_static([chain([0, 1], [0])], params, config)
+        table = aggregate_static(walks(params, ([0, 1], [0])), params, config)
         d_e = config.entity_dim
         v = table.entity_vecs[7]
         np.testing.assert_allclose(v[:d_e], params.ent_emb[7], atol=1e-12)
@@ -138,8 +141,8 @@ class TestAggregate:
     def test_matches_hand_rolled_accumulation(self):
         config, params = make_model(n_ent=6, n_rel=4)
         # the 1-token chain has no prediction event but is still pooled
-        chains = [chain([0, 1, 2], [0, 1]), chain([2, 3], [2]), chain([5], []), chain([1, 4, 0], [1, 0])]
-        table = aggregate_static(chains, params, config)
+        pairs = [([0, 1, 2], [0, 1]), ([2, 3], [2]), ([5], []), ([1, 4, 0], [1, 0])]
+        table = aggregate_static(walks(params, *pairs), params, config)
 
         # oracle: accumulate combined vectors per item one position at a time
         dim = table.dim
@@ -148,11 +151,10 @@ class TestAggregate:
         sums_r = np.zeros((4, dim))
         counts_r = np.zeros(4)
         eos = 3
-        for c in chains:
-            states = contextual_reps(c, params, config)
+        for ents, rels in pairs:
+            states = contextual_reps(walks(params, (ents, rels)), params, config)
             vecs = combine(states, np.full(2, 0.5))
-            rels = list(c.relations) + [eos]
-            for t, (e, r) in enumerate(zip(c.entities, rels)):
+            for t, (e, r) in enumerate(zip(ents, rels + [eos])):
                 sums_e[e] += vecs[t]
                 counts_e[e] += 1
                 sums_r[r] += vecs[t]
@@ -173,17 +175,16 @@ class TestAggregate:
         # shows in the last bits)
         config, params = make_model(n_ent=6, n_rel=4)
         rng = np.random.default_rng(0)
-        chains = [chain(rng.integers(6, size=n), rng.integers(3, size=n - 1)) for n in (3, 1, 5, 2, 4, 3, 5)]
+        corpus = walks(params, *((rng.integers(6, size=n), rng.integers(3, size=n - 1)) for n in (3, 1, 5, 2, 4, 3, 5)))
         monkeypatch.setattr("kglm.extract.CHUNK_SIZE", 3)
-        ent_sums, ent_counts, rel_sums, rel_counts = aggregate_layered(chains, params, config)
+        ent_sums, ent_counts, rel_sums, rel_counts = aggregate_layered(corpus, params, config)
         sums = {"ent": [np.zeros_like(ent_sums), np.zeros(6, np.int64)],
                 "rel": [np.zeros_like(rel_sums), np.zeros(4, np.int64)]}
-        for start in range(0, len(chains), 3):
-            batch = pack_batch([tokenize_chain(c, 3) for c in chains[start : start + 3]], dtype=config.dtype)
+        for start in range(0, len(corpus), 3):
+            batch = pack_batch(corpus[start : start + 3], dtype=config.dtype)
             states, _ = bilm_states(batch, params, config)
-            for b, n in enumerate(batch.lengths):
-                seq = states.per_sequence(b)
-                seq = LayerStates(*(a.astype(np.float64) for a in (seq.x, seq.fwd, seq.bwd)))
+            for b, n in enumerate(corpus.lengths[start : start + 3]):
+                seq = LayerStates(*(a.astype(np.float64) for a in (states.x[:n, b], states.fwd[:, :n, b], states.bwd[:, :n, b])))
                 vecs = combine(seq, np.full(2, 0.5))
                 for key, ids in (("ent", batch.ents[:n, b]), ("rel", batch.rels[:n, b])):
                     np.add.at(sums[key][0], ids, vecs)
@@ -197,7 +198,7 @@ class TestAggregate:
 class TestExport:
     def test_header_and_counts(self, tmp_path):
         config, params = make_model(n_ent=2, n_rel=3)
-        table = aggregate_static([chain([0, 1], [0])], params, config)
+        table = aggregate_static(walks(params, ([0, 1], [0])), params, config)
         ents = ["alpha", "beta"]
         rels = ["r0", "r1", "<eos>"]
         ent_path, rel_path = export_embeddings(table, ents, rels, str(tmp_path / "emb"))
@@ -208,7 +209,7 @@ class TestExport:
 
     def test_round_trip_within_1e6(self, tmp_path):
         config, params = make_model(n_ent=5, n_rel=4)
-        table = aggregate_static([chain([0, 1, 2], [0, 1])], params, config)
+        table = aggregate_static(walks(params, ([0, 1, 2], [0, 1])), params, config)
         ents = [f"e{i}" for i in range(5)]
         rels = [f"r{i}" for i in range(4)]
         ent_path, rel_path = export_embeddings(table, ents, rels, str(tmp_path / "emb"))

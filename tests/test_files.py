@@ -17,16 +17,17 @@ from kglm.graph import build_graph
 from kglm.model import ModelConfig, init_params, save_checkpoint
 from kglm.ranking import write_breakdown
 from kglm.train import EpochLoss
-from kglm.walker import Chain, write_corpus
+from kglm.walker import write_corpus
+
+from conftest import walk_corpus
 
 
 def corpus_writer(tmp_path, fail):
     graph = build_graph([("a", "r", "b"), ("b", "r", "c")])
-    chains = [Chain(entities=np.array([0, 1]), relations=np.array([0]))] * 3
+    walks = [([0, 1], [0])] * 3
     if fail:
-        chains = [Chain(entities=np.array([1, 2]), relations=np.array([0]))] * 3
-        chains.append(Chain(entities=np.array([0, 99]), relations=np.array([0])))
-    write_corpus(chains, graph, str(tmp_path / "corpus.txt"))
+        walks = [([1, 2], [0])] * 3 + [([0, 99], [0])]
+    write_corpus(walk_corpus(walks, graph.eos_id), graph, str(tmp_path / "corpus.txt"))
     return ["corpus.txt"]
 
 

@@ -87,3 +87,38 @@ def test_every_mutation_fails_cleanly_naming_its_file(pristine, tmp_path, capsys
         shutil.rmtree(root)
     # the mutations reach both outcomes
     assert outcomes[0] and outcomes[1]
+
+
+def run_on(pristine, root, stage, capsys, **replaced):
+    """Run ``stage`` on the pristine files with ``replaced`` (file name ->
+    text) swapped in; returns the exit status and the error lines."""
+    root.mkdir()
+    for name, data in pristine.items():
+        (root / name).write_bytes(data)
+    for name, text in replaced.items():
+        (root / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    status = main([stage, *flags(str(root))])
+    return status, [line for line in capsys.readouterr().err.splitlines() if line.startswith("kglm: error:")]
+
+
+@pytest.mark.parametrize("name", SPLITS)
+@pytest.mark.parametrize("line, surface", [("a b\tr\tc", "a b"), ("\tr\ta", ""), ("a\tr s\tb", "r s"), ("a\tr\t", "")],
+                         ids=["space-in-head", "empty-head", "space-in-relation", "empty-tail"])
+def test_bad_surface_fails_ingest_naming_its_line(pristine, tmp_path, capsys, name, line, surface):
+    # the corpus separates tokens with spaces: a surface with a space or
+    # an empty one must fail where it is read, not in a later stage
+    text = pristine[name].decode("utf-8")
+    lineno = text.count("\n") + 1
+    status, errors = run_on(pristine, tmp_path / "case", "ingest", capsys, **{name: text + line + "\n"})
+    assert status == 1 and len(errors) == 1
+    assert errors[0].endswith(f"{tmp_path / 'case' / name}:{lineno}: surface {surface!r} is empty or holds whitespace")
+
+
+@pytest.mark.parametrize("stage, kind", [("train", "empty"), ("train", "one-token walks"), ("export", "empty")])
+def test_unusable_corpus_fails_naming_it(pristine, tmp_path, capsys, stage, kind):
+    lines = pristine["corpus.txt"].decode("utf-8").splitlines()
+    text = "" if kind == "empty" else "".join(line.split(" ")[0] + "\n" for line in lines)
+    status, errors = run_on(pristine, tmp_path / "case", stage, capsys, **{"corpus.txt": text})
+    assert status == 1 and len(errors) == 1
+    assert str(tmp_path / "case" / "corpus.txt") in errors[0]

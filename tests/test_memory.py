@@ -12,7 +12,9 @@ from kglm.datasets import make_clustered_kg
 from kglm.graph import build_graph
 from kglm.model import ModelConfig, init_params
 from kglm.train import train_bilm
-from kglm.walker import Chain, WalkConfig, generate_corpus
+from kglm.walker import WalkConfig, generate_corpus
+
+from conftest import pair_corpus, walk_corpus
 
 
 def traced_peak(fn, *args):
@@ -35,8 +37,8 @@ def test_pooling_holds_no_backward_arrays():
     params = init_params(config, n_ent, n_rel)
     rng = np.random.default_rng(0)
     T, B = 11, 64
-    chains = [Chain(entities=rng.integers(n_ent, size=T), relations=rng.integers(n_rel - 1, size=T - 1))
-              for _ in range(B)]
+    chains = walk_corpus([(rng.integers(n_ent, size=T), rng.integers(n_rel - 1, size=T - 1)) for _ in range(B)],
+                         n_rel - 1)
     assert B <= extract.CHUNK_SIZE  # one chunk
     activation_bytes = T * B * 4 * config.hidden_units * np.dtype(config.dtype).itemsize
     assert traced_peak(extract.aggregate_layered, chains, params, config) < activation_bytes
@@ -51,7 +53,7 @@ def test_softmax_heads_hold_one_block(monkeypatch):
     params = init_params(config, n_ent, n_rel)
     rng = np.random.default_rng(1)
     T, B = 9, 250
-    batch = pack_batch([(rng.integers(n_ent, size=T), rng.integers(n_rel, size=T)) for _ in range(B)],
+    batch = pack_batch(pair_corpus([(rng.integers(n_ent, size=T), rng.integers(n_rel, size=T)) for _ in range(B)]),
                        dtype=np.float32)
     top = rng.standard_normal((T, B, config.proj_dim)).astype(np.float32)
     head_grads = {name: np.zeros_like(a) for name, a in params.flat().items() if name.startswith("sm_")}

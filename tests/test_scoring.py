@@ -25,7 +25,7 @@ from kglm.scoring import (
     train_scorer,
 )
 
-from conftest import random_graph
+from conftest import random_graph, walk_corpus
 
 
 def rank_oracle(scorer, triple, side, known_triples, n_entities):
@@ -414,12 +414,7 @@ class TestInitModes:
             dropout=0.0, batch_size=4, precision="f64", seed=0,
         )
         params = init_params(config, 10, 5)
-        from kglm.walker import Chain
-
-        chains = [
-            Chain(entities=np.array([0, 1, 2]), relations=np.array([0, 1])),
-            Chain(entities=np.array([3, 4]), relations=np.array([2])),
-        ]
+        chains = walk_corpus([([0, 1, 2], [0, 1]), ([3, 4], [2])], params.n_relations - 1)
         return config, params, chains
 
     def test_init_isolation(self):

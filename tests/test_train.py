@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kglm.bilm import pack_batch, tokenize_chain
+from kglm.bilm import pack_batch
 from kglm.datasets import make_clustered_kg
 from kglm.graph import build_graph
 from kglm.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from kglm.train import train_bilm
-from kglm.walker import Chain, WalkConfig, generate_corpus
+from kglm.walker import WalkConfig, generate_corpus
+
+from conftest import walk_corpus
 
 
 def small_corpus(seed=0, n_entities=50, n_relations=5, n_triples=260, walks=10, length=9):
@@ -66,22 +68,24 @@ class TestTrain:
 
     def test_untrainable_corpus_rejected(self):
         graph, _ = small_corpus()
-        lonely = [Chain(entities=np.array([0]), relations=np.array([], dtype=np.int64))]
+        lonely = walk_corpus([([0], [])], graph.eos_id)
         with pytest.raises(ValueError, match="no trainable chains"):
             train_bilm(lonely, graph, small_config(epochs=1))
 
     def test_single_entity_chain_untrainable(self):
         # one token has no prediction target; pack_batch still pads it,
         # because export pools such chains, so train_bilm must skip it
-        chain = Chain(entities=np.array([4]), relations=np.array([], dtype=np.int64))
-        ents, rels = tokenize_chain(chain, eos_rel_id=2)
-        assert len(ents) == 1 and rels[0] == 2
-        batch = pack_batch([(ents, rels)])
-        assert batch.lengths.tolist() == [1] and batch.mask[1:].sum() == 0
+        walk = walk_corpus([([4], [])], eos=2)
+        assert walk.lengths.tolist() == [1] and walk.rels[0, 0] == 2
+        batch = pack_batch(walk)
+        assert batch.mask.sum(axis=0).tolist() == [1] and batch.mask[1:].sum() == 0
 
     def test_short_chains_skipped_with_count(self, caplog):
         graph, chains = small_corpus()
-        mixed = chains[:40] + [Chain(entities=np.array([0]), relations=np.array([], dtype=np.int64))]
+        # 40 walks, then one of a single token
+        mixed = chains[:41]
+        mixed.ents[40], mixed.rels[40], mixed.lengths[40] = 0, 0, 1
+        mixed.rels[40, 0] = graph.eos_id
         with caplog.at_level("WARNING"):
             train_bilm(mixed, graph, small_config(epochs=1))
         assert any("skipped 1" in rec.message for rec in caplog.records)

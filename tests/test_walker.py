@@ -5,7 +5,6 @@ from kglm import kernels, seeds
 from kglm.cli import main as cli_main
 from kglm.graph import build_graph
 from kglm.walker import (
-    Chain,
     WalkConfig,
     generate_corpus,
     next_step_distribution,
@@ -14,7 +13,7 @@ from kglm.walker import (
     write_corpus,
 )
 
-from conftest import random_graph, step
+from conftest import random_graph, step, walk_corpus
 
 
 def analytic_oracle(graph, prev, cur, p, q):
@@ -35,6 +34,13 @@ def analytic_oracle(graph, prev, cur, p, q):
             w.append(1.0 / q)
     w = np.array(w)
     return rels, nbrs, w / w.sum()
+
+
+def assert_same_corpus(a, b):
+    for name in ("ents", "rels", "lengths"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64
+        np.testing.assert_array_equal(x, y, err_msg=name)
 
 
 def hub_graph(seed, add_inverses):
@@ -166,27 +172,35 @@ class TestNextStepDistribution:
 class TestSampleWalk:
     def test_isolated_start(self):
         g = build_graph([("a", "r", "b")], add_inverses=False)
-        chains = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=5))
-        chain = chains[g.entities.id_of("b")]
-        assert chain.entities.tolist() == [g.entities.id_of("b")] and len(chain.relations) == 0
+        corpus = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=5))
+        walk = corpus[g.entities.id_of("b")]
+        assert walk.lengths.tolist() == [1]
+        assert walk.ents[0, 0] == g.entities.id_of("b") and walk.rels[0, 0] == g.eos_id
 
     def test_full_length_gives_11_entities(self, ring_graph):
-        for chain in generate_corpus(ring_graph, WalkConfig(walks_per_node=2, walk_length=21)):
-            assert len(chain.entities) == 11
-            assert len(chain.relations) == 10
+        corpus = generate_corpus(ring_graph, WalkConfig(walks_per_node=2, walk_length=21))
+        assert corpus.ents.shape == corpus.rels.shape == (2 * ring_graph.n_entities, 11)
+        assert np.all(corpus.lengths == 11)
+        # 10 walked relations, then the end of sequence
+        assert np.all(corpus.rels[:, :10] < ring_graph.eos_id) and np.all(corpus.rels[:, 10] == ring_graph.eos_id)
 
     def test_truncates_at_dead_end(self):
         g = build_graph([("a", "r", "b"), ("b", "r", "c")], add_inverses=False)
-        chain = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=21))[0]
-        assert chain.surfaces(g) == ["a", "r", "b", "r", "c"]
+        walk = generate_corpus(g, WalkConfig(walks_per_node=1, walk_length=21))[0]
+        a, b, c = (g.entities.id_of(s) for s in "abc")
+        r = g.relations.id_of("r")
+        assert walk.lengths.tolist() == [3]
+        assert walk.ents.tolist() == [[a, b, c]] and walk.rels.tolist() == [[r, r, g.eos_id]]
 
     def test_chain_validity_on_random_graphs(self):
         for seed in range(10):
             g = build_graph(random_graph(seed))
             cfg = WalkConfig(p=1.7, q=0.6, walks_per_node=2, walk_length=11, seed=seed)
-            for chain in generate_corpus(g, cfg):
-                for i in range(len(chain.relations)):
-                    e, r, nxt = chain.entities[i], chain.relations[i], chain.entities[i + 1]
+            corpus = generate_corpus(g, cfg)
+            for ents, walk_rels, n in zip(corpus.ents, corpus.rels, corpus.lengths):
+                assert walk_rels[n - 1] == g.eos_id
+                for i in range(n - 1):
+                    e, r, nxt = ents[i], walk_rels[i], ents[i + 1]
                     rels, nbrs = g.out_edges(int(e))
                     assert any(rr == r and nn == nxt for rr, nn in zip(rels, nbrs))
 
@@ -273,37 +287,51 @@ class TestSampleWalk:
         g = ring_graph
         starts = np.repeat(np.arange(g.n_entities), 3)
         rng = seeds.derived_rng(3, seeds.WALKS)
-        ents, rels, _ = kernels.walk_steps(
+        ents, rels, steps = kernels.walk_steps(
             g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, 4, rng, 2.0, 0.5
         )
-        for i, chain in enumerate(generate_corpus(g, cfg)):
-            assert chain.entities.tolist() == ents[i].tolist() and chain.relations.tolist() == rels[i].tolist()
+        corpus = generate_corpus(g, cfg)
+        # the ring has no dead end: every walk takes all 4 steps
+        assert steps.tolist() == [4] * len(starts) and corpus.lengths.tolist() == [5] * len(starts)
+        assert corpus.ents.tolist() == ents.tolist()
+        assert corpus.rels[:, :4].tolist() == rels.tolist() and np.all(corpus.rels[:, 4] == g.eos_id)
 
 
 class TestCorpus:
     def test_chain_count(self, ring_graph):
         cfg = WalkConfig(walks_per_node=4, walk_length=5, seed=1)
-        chains = generate_corpus(ring_graph, cfg)
-        assert len(chains) == 4 * ring_graph.n_entities
+        corpus = generate_corpus(ring_graph, cfg)
+        assert len(corpus) == 4 * ring_graph.n_entities
 
     def test_line_format(self, tmp_path, path_graph):
         g = path_graph
-        chain = Chain(
-            entities=np.array([g.entities.id_of("a"), g.entities.id_of("b")]),
-            relations=np.array([g.relations.id_of("r1")]),
-        )
+        walk = walk_corpus([([g.entities.id_of("a"), g.entities.id_of("b")], [g.relations.id_of("r1")])], g.eos_id)
         path = tmp_path / "c.txt"
-        write_corpus([chain], g, str(path))
+        write_corpus(walk, g, str(path))
         assert path.read_text(encoding="utf-8") == "a r1 b\n"
 
     def test_round_trip(self, tmp_path, ring_graph):
         cfg = WalkConfig(walks_per_node=2, walk_length=7, seed=9)
-        chains = generate_corpus(ring_graph, cfg, out_path=str(tmp_path / "c.txt"))
-        loaded = read_corpus(str(tmp_path / "c.txt"), ring_graph)
-        assert len(loaded) == len(chains)
-        for a, b in zip(chains, loaded):
-            assert np.array_equal(a.entities, b.entities)
-            assert np.array_equal(a.relations, b.relations)
+        corpus = generate_corpus(ring_graph, cfg, out_path=str(tmp_path / "c.txt"))
+        assert_same_corpus(read_corpus(str(tmp_path / "c.txt"), ring_graph), corpus)
+
+    def test_round_trip_ragged(self, tmp_path):
+        # dead ends and isolated starts leave walks of every length
+        g = hub_graph(1, add_inverses=False)
+        corpus = generate_corpus(g, WalkConfig(walks_per_node=2, walk_length=9, seed=4))
+        assert set(corpus.lengths.tolist()) >= {1, 2, 5}
+        write_corpus(corpus, g, str(tmp_path / "c.txt"))
+        assert_same_corpus(read_corpus(str(tmp_path / "c.txt"), g), corpus)
+
+    def test_int_slice_and_id_rows_agree(self, ring_graph):
+        corpus = generate_corpus(ring_graph, WalkConfig(walks_per_node=3, walk_length=7, seed=2))
+        by_int, by_slice, by_ids = corpus[4], corpus[4:5], corpus[np.array([4])]
+        for picked in (by_int, by_slice, by_ids):
+            assert len(picked) == 1
+            assert_same_corpus(picked, by_slice)
+        assert_same_corpus(corpus[2:9:3], corpus[np.array([2, 5, 8])])
+        assert_same_corpus(corpus[-1], corpus[np.array([len(corpus) - 1])])
+        assert by_int.ents.tolist() == [corpus.ents[4].tolist()]
 
     def test_bit_identical_across_runs(self, tmp_path, ring_graph):
         cfg = WalkConfig(walks_per_node=6, walk_length=9, seed=11)
@@ -313,10 +341,12 @@ class TestCorpus:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_whitespace_token_rejected(self, tmp_path):
-        g = build_graph([("a b", "r", "c")])
-        chain = Chain(entities=np.array([0]), relations=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError, match="whitespace"):
-            write_corpus([chain], g, str(tmp_path / "c.txt"))
+        # the corpus separates tokens with spaces, so no graph holds one
+        for triple in (("a b", "r", "c"), ("a", "r\tx", "c"), ("a", "r", "c\n")):
+            with pytest.raises(ValueError, match="whitespace"):
+                build_graph([triple])
+        with pytest.raises(ValueError, match="surface '' is empty"):
+            build_graph([("a", "r", "c")], extra_entities=[""])
 
     def test_eos_inside_chain_rejected(self, tmp_path):
         # the end-of-sequence relation only ever closes a chain
