@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import lstm_layer_backward, lstm_layer_forward
+from .lstm import CLIP, lstm_layer_backward, lstm_layer_forward
 
 
 @dataclass
@@ -41,27 +41,22 @@ def pack_batch(corpus, dtype=np.float32):
 
 @dataclass
 class LayerStates:
-    """The 2L+1 vectors of one sequence position range: the pair
-    embedding plus each layer's forward and backward states."""
+    """The 2L+1 vectors of each position: the pair embedding plus each
+    layer's forward and backward states. The position axes, (T,) for
+    one walk or (T, B) for a batch, lead each array after the layer
+    axis."""
 
-    x: np.ndarray  # (T, D)
-    fwd: np.ndarray  # (L, T, P)
-    bwd: np.ndarray  # (L, T, P)
+    x: np.ndarray  # (T, ..., D)
+    fwd: np.ndarray  # (L, T, ..., P)
+    bwd: np.ndarray  # (L, T, ..., P)
 
     @property
     def n_layers(self):
         return self.fwd.shape[0]
 
     def layer_concat(self):
-        """(L, T, 2P): per-layer bidirectional states."""
-        return np.concatenate([self.fwd, self.bwd], axis=2)
-
-
-@dataclass
-class BatchStates:
-    x: np.ndarray  # (T, B, D)
-    fwd: np.ndarray  # (L, T, B, P)
-    bwd: np.ndarray
+        """(L, T, ..., 2P): per-layer bidirectional states."""
+        return np.concatenate([self.fwd, self.bwd], axis=-1)
 
 
 @dataclass
@@ -70,7 +65,7 @@ class ForwardResult:
     loss_fwd: float
     loss_bwd: float
     n_events: int
-    states: BatchStates
+    states: LayerStates
     cache: dict
 
 
@@ -113,7 +108,6 @@ def _direction_forward(x, mask, layers, config, reverse, train, rng):
     ``train``, the caches, dropout masks and residual sums backward
     needs (None without ``train``, which keeps no per-step arrays)."""
     inp = x
-    lo, hi = -config.clip, config.clip
     caches, drop_masks, res_pre, outs = [], [], [], []
     for i, layer in enumerate(layers):
         dm = None
@@ -122,14 +116,13 @@ def _direction_forward(x, mask, layers, config, reverse, train, rng):
             dm = (rng.random(inp.shape) < keep).astype(inp.dtype) / keep
             inp = inp * dm
         drop_masks.append(dm)
-        out, cache = lstm_layer_forward(inp, mask, layer, lo, hi, reverse=reverse, keep_cache=train)
+        out, cache = lstm_layer_forward(inp, mask, layer, reverse=reverse, keep_cache=train)
         caches.append(cache)
-        if config.residual and i > 0:
+        s = None
+        if i > 0:  # the residual connection, clipped like the projections
             s = out + inp
-            res_pre.append(s if train else None)
-            out = np.clip(s, lo, hi)
-        else:
-            res_pre.append(None)
+            out = np.clip(s, -CLIP, CLIP)
+        res_pre.append(s if train else None)
         outs.append(out)
         inp = out
     if not train:
@@ -210,7 +203,7 @@ def bilm_states(batch, params, config, train=False, rng=None):
     )
     outs_f, cache_f = _direction_forward(x, batch.mask, params.fwd, config, False, train, rng)
     outs_b, cache_b = _direction_forward(x, batch.mask, params.bwd, config, True, train, rng)
-    states = BatchStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b))
+    states = LayerStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b))
     return states, ({"fwd": cache_f, "bwd": cache_b} if train else None)
 
 
@@ -221,9 +214,11 @@ def bilm_forward(batch, params, config, rng=None):
     gradient at its top states, for :func:`bilm_backward`."""
     if config.dropout > 0.0 and rng is None:
         raise ValueError("a forward pass with dropout needs an rng")
+    n_dir = float(batch.mask[1:].sum())
+    if not n_dir:
+        raise ValueError("the batch has no walk of two or more tokens, so nothing to predict")
     states, stack_caches = bilm_states(batch, params, config, train=True, rng=rng)
 
-    n_dir = float(batch.mask[1:].sum())
     n_events = int(2 * n_dir)
     head_grads = {name: np.zeros_like(arr) for name, arr in params.flat().items() if name.startswith("sm_")}
     sum_f, dtop_f = _direction_heads(states.fwd[-1], batch, params, False, n_events, head_grads)
@@ -245,23 +240,17 @@ def bilm_forward(batch, params, config, rng=None):
     )
 
 
-def _direction_backward(tag, dtop, dir_cache, layers, config, grads):
-    lo, hi = -config.clip, config.clip
+def _direction_backward(tag, dtop, dir_cache, layers, grads):
     dcur = dtop
     for i in range(len(layers) - 1, -1, -1):
-        if config.residual and i > 0:
-            s = dir_cache["res_pre"][i]
-            dsum = dcur * ((s > lo) & (s < hi))
-            dcell = dsum
-            dres = dsum
-        else:
-            dcell = dcur
-            dres = None
-        dinp, lgrads = lstm_layer_backward(dcell, dir_cache["caches"][i], layers[i], lo, hi)
+        s = dir_cache["res_pre"][i]
+        if s is not None:  # through the residual clip, to the layer and its input alike
+            dcur = dcur * ((s > -CLIP) & (s < CLIP))
+        dinp, lgrads = lstm_layer_backward(dcur, dir_cache["caches"][i], layers[i])
         for k, v in lgrads.items():
             grads[f"{tag}{i}.{k}"] += v
-        if dres is not None:
-            dinp = dinp + dres
+        if s is not None:
+            dinp = dinp + dcur
         dm = dir_cache["drop_masks"][i]
         if dm is not None:
             dinp = dinp * dm
@@ -269,7 +258,7 @@ def _direction_backward(tag, dtop, dir_cache, layers, config, grads):
     return dcur
 
 
-def bilm_backward(result, params, config):
+def bilm_backward(result, params):
     """Gradients of the mean loss for every parameter block, from the
     forward result's cache, which it leaves unchanged."""
     cache = result.cache
@@ -278,7 +267,7 @@ def bilm_backward(result, params, config):
     grads.update({name: g.copy() for name, g in cache["head_grads"].items()})
     dx = np.zeros_like(cache["x"])
     for tag, layers in (("fwd", params.fwd), ("bwd", params.bwd)):
-        dx += _direction_backward(tag, cache["dtop"][tag], cache[tag], layers, config, grads)
+        dx += _direction_backward(tag, cache["dtop"][tag], cache[tag], layers, grads)
 
     dx *= batch.mask[:, :, None]
     d_e = params.ent_emb.shape[1]

@@ -9,7 +9,6 @@ scorer configs. Each key is one field of RunConfig or of a stage config,
 which declares its type and default and checks its value.
 """
 
-import argparse
 from dataclasses import dataclass, fields
 
 from . import seeds
@@ -129,14 +128,11 @@ def from_keys(values):
     return RunConfig(**own)
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-
-
 def _parse_value(key, raw):
     ftype, raw = _KEYS[key][1].type, raw.strip()
     try:
-        return _BOOLS[raw.lower()] if ftype is bool else ftype(raw)
-    except (KeyError, ValueError):
+        return ftype(raw)
+    except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
@@ -165,9 +161,7 @@ _FLAG_HELP = {
     "out": {"metavar": "DIR"},
     "p": {"help": f"walk return parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
     "q": {"help": f"walk in-out parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
-    "clip": {"help": "projection clip half-range"},
     "init": {"help": "scorer embedding init: learned contextual table or random"},
-    "negatives": {"help": "corruptions per positive"},
     "threads": {"help": "ignored: no stage reads it; kept so existing command lines still parse"},
 }
 
@@ -178,12 +172,8 @@ def add_flags(parser):
     g = parser.add_argument_group("configuration")
     g.add_argument("--config", default=None, metavar="FILE", help="key = value config file")
     for key, (_, f) in _KEYS.items():
-        kwargs = dict(_FLAG_HELP.get(key, {}), default=None)
-        if f.type is bool:
-            kwargs["action"] = argparse.BooleanOptionalAction
-        else:
-            kwargs.update(type=f.type, choices=_CHOICES.get(key))
-        g.add_argument("--" + key.replace("_", "-"), **kwargs)
+        g.add_argument("--" + key.replace("_", "-"), **_FLAG_HELP.get(key, {}), default=None, type=f.type,
+                       choices=_CHOICES.get(key))
     return parser
 
 

@@ -37,7 +37,6 @@ def run_gradcheck(seed=7, n_coords=120):
         entity_dim=5,
         relation_dim=3,
         dropout=0.1,
-        residual=True,
         batch_size=8,
         precision="f64",
         seed=seed,
@@ -52,7 +51,7 @@ def run_gradcheck(seed=7, n_coords=120):
         return bilm_forward(batch, params, config, rng=drop_rng)
 
     result = loss_fn()
-    grads = bilm_backward(result, params, config)
+    grads = bilm_backward(result, params)
 
     blocks = params.flat()
     per_coord = max(1, int(np.ceil(n_coords / len(blocks))))

@@ -3,8 +3,8 @@ through time.
 
 Each step computes gates [i|f|g|o] from input and recurrent state,
 advances the cell state, then linearly projects the hidden vector and
-clips it elementwise; the clipped projection is both the layer output
-and the recurrent state. Saturated clip components pass zero gradient.
+clips it to [-CLIP, CLIP]; the clipped projection is both the layer
+output and the recurrent state. Saturated components pass zero gradient.
 Padded positions (mask 0) carry state through unchanged in both passes.
 A training forward keeps every step's gates and states for backward; an
 inference forward keeps only the layer's outputs.
@@ -14,8 +14,11 @@ import numpy as np
 
 from . import kernels
 
+# the projection clip half-range of the ELMo reference model
+CLIP = 3.0
 
-def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False, keep_cache=True):
+
+def lstm_layer_forward(inputs, mask, layer, reverse=False, keep_cache=True):
     """Run a layer over (T, B, Din) inputs with (T, B) mask.
 
     Returns (out, cache); out[t] is the carried state, so padded
@@ -55,7 +58,7 @@ def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False, kee
         proj_t = hc_t @ layer.Wp
         if keep_cache:
             hprev[t], cprev[t], act[t], tanh_c[t], hc[t], proj[t] = h, c, act_t, tanh_c_t, hc_t, proj_t
-        h_new = np.clip(proj_t, clip_lo, clip_hi)
+        h_new = np.clip(proj_t, -CLIP, CLIP)
         m = mask[t][:, None]
         h = m * h_new + (1.0 - m) * h
         c = m * c_new + (1.0 - m) * c
@@ -77,7 +80,7 @@ def lstm_layer_forward(inputs, mask, layer, clip_lo, clip_hi, reverse=False, kee
     return out, cache
 
 
-def lstm_layer_backward(dout, cache, layer, clip_lo, clip_hi):
+def lstm_layer_backward(dout, cache, layer):
     """BPTT through one layer. Returns (dinputs, grads dict)."""
     inputs = cache["inputs"]
     mask = cache["mask"]
@@ -100,7 +103,7 @@ def lstm_layer_backward(dout, cache, layer, clip_lo, clip_hi):
         carry_c = (1.0 - m) * dc
 
         p = cache["proj"][t]
-        dp = dh_new * ((p > clip_lo) & (p < clip_hi))
+        dp = dh_new * ((p > -CLIP) & (p < CLIP))
         dp_all[t] = dp
         dhc = dp @ layer.Wp.T
         da, dc_prev = kernels.lstm_gates_backward(dhc, dc_new, cache["act"][t], cache["cprev"][t], cache["tanh_c"][t])

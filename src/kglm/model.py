@@ -30,10 +30,7 @@ class ModelConfig:
     proj_dim: int = 32
     entity_dim: int = 32
     relation_dim: int = 32
-    # projections are clipped to [-clip, clip]
-    clip: float = 3.0
     dropout: float = 0.1
-    residual: bool = True
     batch_size: int = 1024
     epochs: int = 200
     learning_rate: float = 1e-3
@@ -46,9 +43,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("clip", "learning_rate"):
-            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be a finite number > 0")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be a finite number > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.precision not in PRECISIONS:

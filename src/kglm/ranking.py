@@ -123,6 +123,8 @@ def link_prediction_eval(scorer, test_triples, filter_index):
     n_ent, n_rel = filter_index.n_entities, filter_index.n_relations
     if scorer.ent.shape[0] != n_ent:
         raise ValueError(f"scorer has {scorer.ent.shape[0]} entity rows, the filter index {n_ent} entities")
+    if scorer.rel.shape[0] != n_rel:
+        raise ValueError(f"scorer has {scorer.rel.shape[0]} relation rows, the filter index {n_rel} relations")
     check_ids(test_triples, n_ent, n_rel, "test triple")
     ent_sq = np.einsum("ed,ed->e", scorer.ent, scorer.ent) if scorer.kind == "translational" else None
     ranks = {side: np.empty(len(test_triples), dtype=np.int64) for side in ("head", "tail")}

@@ -4,9 +4,9 @@ Two scorer forms: translational (score is the negated L2 distance of
 head + relation - tail) and bilinear (trilinear dot product). Higher
 score always means more plausible. Tables start random or from the
 static contextual-embedding table and are the trainable parameters.
-Training protocol is identical across initializations: uniform
-corruption negatives, margin ranking loss for the translational form,
-logistic loss for the bilinear form, Adam updates.
+Training protocol is identical across initializations: one uniform
+corruption per positive, ranking loss with margin ``MARGIN`` for the
+translational form, logistic loss for the bilinear form, Adam updates.
 """
 
 import logging
@@ -24,8 +24,10 @@ logger = logging.getLogger(__name__)
 
 SCORER_KINDS = ("translational", "bilinear")
 
-# positives per Adam step
+# positives per Adam step, each paired with one corruption
 BATCH_SIZE = 512
+# the translational form's ranking margin, TransE's
+MARGIN = 1.0
 # corruption rounds before a row counts as uncorruptible
 MAX_NEGATIVE_ROUNDS = 1000
 
@@ -147,18 +149,13 @@ def init_scorer_from_table(entity_vecs, relation_vecs, kind, dim=None, rng=None)
 class ScorerTrainConfig:
     epochs: int = 100
     lr: float = 0.01
-    margin: float = 1.0
-    negatives: int = 1
     seed: int = seeds.DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("lr", "margin"):
-            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be a finite number > 0")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError("lr must be a finite number > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
 
 
 def sample_negatives(triples, known, rng):
@@ -228,20 +225,17 @@ def train_scorer(scorer, train_triples, known, cfg):
     for epoch in range(1, cfg.epochs + 1):
         shuffle_rng = seeds.derived_rng(cfg.seed, seeds.SCORER_INIT, epoch)
         neg_rng = seeds.derived_rng(cfg.seed, seeds.NEGATIVES, epoch)
-        order = shuffle_rng.permutation(n)
-        # each positive is paired with `negatives` corruptions per epoch
-        pos_rep = np.repeat(train_triples[order], cfg.negatives, axis=0)
-        negatives = sample_negatives(pos_rep, known, neg_rng)
+        shuffled = train_triples[shuffle_rng.permutation(n)]
+        negatives = sample_negatives(shuffled, known, neg_rng)
         total = 0.0
-        bs = BATCH_SIZE * cfg.negatives
-        for start in range(0, len(pos_rep), bs):
-            pos = pos_rep[start : start + bs]
-            neg = negatives[start : start + bs]
+        for start in range(0, n, BATCH_SIZE):
+            pos = shuffled[start : start + BATCH_SIZE]
+            neg = negatives[start : start + BATCH_SIZE]
             s_pos, aux_pos = _score_batch(scorer, pos)
             s_neg, aux_neg = _score_batch(scorer, neg)
             m = len(pos)
             if scorer.kind == "translational":
-                viol = cfg.margin - s_pos + s_neg
+                viol = MARGIN - s_pos + s_neg
                 active = viol > 0
                 total += float(np.where(active, viol, 0.0).sum())
                 ds_pos = -active.astype(np.float64) / m
@@ -257,7 +251,7 @@ def train_scorer(scorer, train_triples, known, cfg):
             _score_grads(scorer, neg, ds_neg, aux_neg, d_ent, d_rel)
 
             opt.step({"ent": d_ent, "rel": d_rel})
-        trace.append(total / len(pos_rep))
+        trace.append(total / n)
         logger.debug("scorer epoch %d loss %.6f", epoch, trace[-1])
     return scorer, trace
 

@@ -44,11 +44,6 @@ def train_bilm(corpus, graph, config, checkpoint_path=None, checkpoint_interval=
         save_checkpoint(path, params, config, graph.entities.items, graph.relations.items)
 
     trace = []
-    if config.epochs == 0:
-        if checkpoint_path:
-            _save(checkpoint_path)
-        return params, trace
-
     opt = Adam(params.flat(), lr=config.learning_rate)
     n = len(usable)
     bs = config.batch_size
@@ -67,7 +62,7 @@ def train_bilm(corpus, graph, config, checkpoint_path=None, checkpoint_interval=
                     f"non-finite training loss {result.loss} at epoch {epoch}, batch {bi + 1} of {n_batches}; "
                     "training diverged (try a lower learning rate)"
                 )
-            grads = bilm_backward(result, params, config)
+            grads = bilm_backward(result, params)
             opt.step(grads)
             total += result.loss * result.n_events
             total_fwd += result.loss_fwd * result.n_events

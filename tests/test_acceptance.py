@@ -169,7 +169,6 @@ class TestCriterion6StructuralInvariants:
             entity_dim=5,
             relation_dim=3,
             dropout=0.0,
-            residual=True,
             batch_size=8,
             precision="f64",
             seed=1,

@@ -26,7 +26,6 @@ def small_config(**overrides):
         entity_dim=5,
         relation_dim=3,
         dropout=0.0,
-        residual=True,
         batch_size=8,
         precision="f64",
         seed=0,
@@ -111,7 +110,7 @@ class TestForward:
         assert np.array_equal(result.states.bwd[1], result.states.bwd[0])
 
     def test_states_respect_clip_range(self):
-        config = small_config(clip=3.0)
+        config = small_config()
         params = init_params(config, 6, 4)
         for layers in (params.fwd, params.bwd):
             for layer in layers:
@@ -166,6 +165,15 @@ class TestForward:
         params = init_params(config, 4, 3)
         batch = random_batch(np.random.default_rng(5), 4, 3)
         with pytest.raises(ValueError, match="rng"):
+            bilm_forward(batch, params, config)
+
+    def test_batch_of_one_token_walks_rejected(self):
+        # pack_batch keeps 1-token walks, but a batch of nothing else has
+        # no prediction event and no loss to take the mean of
+        config = small_config()
+        params = init_params(config, 4, 3)
+        batch = batch_of_lengths(np.random.default_rng(5), 4, 3, [1, 1])
+        with pytest.raises(ValueError, match="no walk of two or more tokens"):
             bilm_forward(batch, params, config)
 
 
@@ -250,7 +258,7 @@ class TestSharing:
         params = init_params(config, 5, 4)
         batch = random_batch(np.random.default_rng(8), 5, 4)
         result = bilm_forward(batch, params, config)
-        grads = bilm_backward(result, params, config)
+        grads = bilm_backward(result, params)
         # embeddings of used tokens must receive gradient
         used = np.unique(batch.ents[batch.mask > 0])
         assert np.abs(grads["ent_emb"][used]).sum() > 0
@@ -259,14 +267,14 @@ class TestSharing:
 
 class TestGradients:
     def test_saturated_projection_blocks_gradient(self):
-        config = small_config(num_layers=1, residual=False)
+        config = small_config(num_layers=1)
         params = init_params(config, 4, 3)
         layer = params.fwd[0]
         layer.b[:] = 20.0  # saturate gates; cell and hc strictly positive
         layer.Wp[:] = np.abs(layer.Wp) * 1000.0 + 1.0  # projection far beyond the clip
         batch = random_batch(np.random.default_rng(9), 4, 3)
         result = bilm_forward(batch, params, config)
-        grads = bilm_backward(result, params, config)
+        grads = bilm_backward(result, params)
         assert np.array_equal(grads["fwd0.Wp"], np.zeros_like(layer.Wp))
         assert np.array_equal(grads["fwd0.Wx"], np.zeros_like(layer.Wx))
         assert np.array_equal(grads["fwd0.Wh"], np.zeros_like(layer.Wh))
@@ -288,8 +296,8 @@ class TestGradients:
         params = init_params(config, 5, 4)
         batch = random_batch(np.random.default_rng(15), 5, 4)
         result = bilm_forward(batch, params, config)
-        first = bilm_backward(result, params, config)
-        second = bilm_backward(result, params, config)
+        first = bilm_backward(result, params)
+        second = bilm_backward(result, params)
         assert first.keys() == second.keys() == params.flat().keys()
         for name in first:
             assert np.array_equal(first[name], second[name]), name

@@ -14,7 +14,7 @@ from kglm.config import _CHOICES, _KEYS, ConfigError, RunConfig
 from kglm.datasets import make_clustered_kg, write_split_files
 from kglm.graph import load_dataset
 from kglm.model import ModelConfig
-from kglm.scoring import ScorerTrainConfig
+from kglm.scoring import ScorerTrainConfig, load_scorer, save_scorer
 from kglm.walker import WalkConfig
 
 from conftest import parse_config
@@ -98,19 +98,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{key}: '{value}' \\(expected one of"):
             parse_config(str(cfg), [])
 
-    def test_residual_bool_parsing(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("residual = false\n", encoding="utf-8")
-        assert parse_config(str(cfg), []).model.residual is False
-
     def test_every_field_parses_from_its_flag(self):
         expected, flags = {}, []
         for key, (_, f) in _KEYS.items():
             flag = "--" + key.replace("_", "-")
-            if f.type is bool:
-                expected[key] = not f.default
-                flags.append(flag if expected[key] else "--no-" + flag[2:])
-                continue
             if key in _CHOICES:
                 value = next(c for c in _CHOICES[key] if c != f.default)
             elif f.type is str:
@@ -121,7 +112,6 @@ class TestParseConfig:
                 value = f.default + 2  # walk_length stays odd
             expected[key] = value
             flags += [flag, str(value)]
-        assert "--no-residual" in flags
         rc = parse_config(None, flags)
         for key, (stage, f) in _KEYS.items():
             assert getattr(getattr(rc, stage) if stage else rc, f.name) == expected[key], key
@@ -129,10 +119,23 @@ class TestParseConfig:
     def test_keys_are_the_command_line_of_record(self):
         # flags and config-file keys that scripts and perfbench pass
         assert sorted(_KEYS) == sorted(
-            "train valid test out p q walks_per_node walk_length layers hidden proj entity_dim relation_dim clip "
-            "dropout residual batch epochs lr precision checkpoint_interval init scorer_kind scorer_dim "
-            "scorer_epochs scorer_lr margin negatives seed threads".split()
+            "train valid test out p q walks_per_node walk_length layers hidden proj entity_dim relation_dim "
+            "dropout batch epochs lr precision checkpoint_interval init scorer_kind scorer_dim "
+            "scorer_epochs scorer_lr seed threads".split()
         )
+
+    @pytest.mark.parametrize("key", ["clip", "residual", "margin", "negatives"])
+    def test_retired_protocol_constants_are_not_keys(self, tmp_path, capsys, key):
+        # the projection clip, the residual connection, the scorer's margin
+        # and its one corruption per positive are constants of the protocol
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:2: unknown key {key!r}")):
+            parse_config(str(cfg), [])
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--" + key, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
 
     def test_every_stage_field_has_exactly_one_key(self):
         reached = Counter((stage, f.name) for stage, f in _KEYS.values())
@@ -158,15 +161,10 @@ class TestParseConfig:
             for key, value, name in [
                 ("scorer_dim", "-3", ""),
                 ("scorer_epochs", "-1", "scorer_epochs"),
-                ("negatives", "0", "negatives"),
-                ("margin", "0.0", "margin"),
-                ("margin", "inf", "margin-inf"),
                 ("lr", "-1", "lr"),
                 ("lr", "nan", "lr-nan"),
                 ("scorer_lr", "-1", "scorer_lr"),
                 ("scorer_lr", "nan", "scorer_lr-nan"),
-                ("clip", "0", "clip"),
-                ("clip", "inf", "clip-inf"),
                 ("checkpoint_interval", "-1", "checkpoint_interval"),
                 ("layers", "0", "layers"),
                 ("hidden", "0", "hidden"),
@@ -501,6 +499,22 @@ class TestScorerCheckpoint:
         # the new key is saved: the next stage loads it
         assert main(["eval-link", *flags]) == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("retired", [{"margin": 1.0}, {"negatives": 1}], ids=["margin", "negatives"])
+    def test_key_with_a_retired_setting_retrains(self, tiny_dataset, exported, tmp_path, monkeypatch, caplog, retired):
+        # a scorer keyed on the margin or the corruptions per positive was
+        # trained when they were settings; its key is not this one
+        out = eval_dir(exported, tmp_path)
+        calls = count_training(monkeypatch)
+        flags = tiny_flags(tiny_dataset, out)
+        assert main(["eval-link", *flags]) == 0
+        path = os.path.join(out, "scorer.ckpt")
+        scorer, key = load_scorer(path)
+        save_scorer(path, scorer, {**key, **retired})
+        with caplog.at_level("INFO", logger="kglm.cli"):
+            assert main(["eval-triple", *flags]) == 0
+        assert len(calls) == 2
+        assert "scorer.ckpt was trained with another key; retraining it" in caplog.text
 
     @pytest.mark.parametrize(
         "damage",

@@ -30,7 +30,7 @@ class TestCell:
     def test_zero_weights_zero_output(self):
         layer = _zero_layer(3, 4, 2)
         x = np.random.default_rng(0).normal(size=(1, 5, 3))
-        out, cache = lstm_layer_forward(x, np.ones((1, 5)), layer, -3.0, 3.0)
+        out, cache = lstm_layer_forward(x, np.ones((1, 5)), layer)
         assert np.array_equal(out, np.zeros((1, 5, 2)))
         assert np.array_equal(cache["tanh_c"], np.zeros((1, 5, 4)))  # new cell state is 0
 
@@ -40,14 +40,14 @@ class TestCell:
         layer = _zero_layer(2, 4, 3)
         layer.b[:] = 20.0
         layer.Wp[:] = 2.0
-        out, cache = lstm_layer_forward(np.zeros((1, 1, 2)), np.ones((1, 1)), layer, -3.0, 3.0)
+        out, cache = lstm_layer_forward(np.zeros((1, 1, 2)), np.ones((1, 1)), layer)
         assert cache["proj"].max() > 3.0
         assert np.all(out <= 3.0) and out.max() == 3.0
 
     def test_dimension_mismatch(self):
         layer = _zero_layer(3, 4, 2)
         with pytest.raises(ValueError, match="fan-in"):
-            lstm_layer_forward(np.zeros((1, 2, 5)), np.ones((1, 2)), layer, -3, 3)
+            lstm_layer_forward(np.zeros((1, 2, 5)), np.ones((1, 2)), layer)
 
     def test_cell_gradients_match_finite_differences(self):
         # the gate math of one step, with a carried cell state and upstream
@@ -88,8 +88,8 @@ class TestLayer:
         layer = _layer(rng, 3, 4, 2)
         x = rng.normal(size=(5, 2, 3))
         mask = np.ones((5, 2))
-        fwd, _ = lstm_layer_forward(x[::-1].copy(), mask, layer, -3, 3, reverse=False)
-        rev, _ = lstm_layer_forward(x, mask, layer, -3, 3, reverse=True)
+        fwd, _ = lstm_layer_forward(x[::-1].copy(), mask, layer, reverse=False)
+        rev, _ = lstm_layer_forward(x, mask, layer, reverse=True)
         np.testing.assert_allclose(rev, fwd[::-1], atol=1e-12)
 
     def test_padded_positions_carry_state(self):
@@ -98,7 +98,7 @@ class TestLayer:
         x = rng.normal(size=(6, 1, 3))
         mask = np.ones((6, 1))
         mask[4:] = 0.0
-        out, _ = lstm_layer_forward(x, mask, layer, -3, 3)
+        out, _ = lstm_layer_forward(x, mask, layer)
         assert np.array_equal(out[4], out[3])
         assert np.array_equal(out[5], out[3])
 
@@ -111,11 +111,11 @@ class TestLayer:
         R = rng.normal(size=(5, 3, 2))
 
         def loss():
-            out, _ = lstm_layer_forward(x, mask, layer, -3.0, 3.0)
+            out, _ = lstm_layer_forward(x, mask, layer)
             return float((out * R).sum())
 
-        out, cache = lstm_layer_forward(x, mask, layer, -3.0, 3.0)
-        dx, grads = lstm_layer_backward(R, cache, layer, -3.0, 3.0)
+        out, cache = lstm_layer_forward(x, mask, layer)
+        dx, grads = lstm_layer_backward(R, cache, layer)
         eps = 1e-5
         for arr, g in [
             (layer.Wx, grads["Wx"]),

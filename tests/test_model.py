@@ -10,14 +10,12 @@ class TestModelConfig:
         [
             {"num_layers": 0},
             {"proj_dim": -1},
-            {"clip": 0.0},
             {"dropout": 1.0},
             {"precision": "f16"},
             {"epochs": -1},
             # a negative learning rate once trained uphill without a word
             {"learning_rate": -0.02},
             {"learning_rate": float("nan")},
-            {"clip": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -141,9 +139,23 @@ class TestCheckpoint:
             ),
             pytest.param(
                 None,
-                lambda t: t.replace('"clip": 3.0', '"clip_hi": 3.0, "clip_lo": -3.0', 1),
+                lambda t: t.replace('"dropout"', '"clip_hi": 3.0, "clip_lo": -3.0, "dropout"', 1),
                 "bad model config in the header.*clip_hi",
                 id="split-clip",
+            ),
+            # clip and residual are constants, not ModelConfig fields: a
+            # header that sets them must not load as if it did not
+            pytest.param(
+                None,
+                lambda t: t.replace('"dropout"', '"clip": 3.0, "dropout"', 1),
+                "bad model config in the header.*'clip'",
+                id="retired-clip",
+            ),
+            pytest.param(
+                None,
+                lambda t: t.replace('"dropout"', '"residual": true, "dropout"', 1),
+                "bad model config in the header.*'residual'",
+                id="retired-residual",
             ),
             pytest.param(
                 None,
