@@ -9,13 +9,16 @@ is the mean negative log likelihood per predicted position across both
 directions. The forward pass takes the heads' gradients where it makes
 their probabilities, one block of rows at a time, so no matrix larger
 than ``HEAD_BLOCK_CELLS`` logits outlives its block, and backward runs
-only the LSTM stacks and the embedding scatter.
+only the LSTM stacks and the embedding scatter. The two directions'
+stacks, forward and backward, and the two row halves of each head block
+run on the two workers of :mod:`kglm.workers`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .lstm import CLIP, lstm_layer_backward, lstm_layer_forward
 
 
@@ -103,19 +106,27 @@ def _head(S, W, b, targets):
     return softmax_nll(logits, targets)
 
 
-def _direction_forward(x, mask, layers, config, reverse, train, rng):
-    """Run one direction's stack; returns its per-layer outputs and, with
-    ``train``, the caches, dropout masks and residual sums backward
-    needs (None without ``train``, which keeps no per-step arrays)."""
+def _dropout_masks(rng, dropout, layers, shape, dtype):
+    """One direction's inverted-dropout masks, one per layer: a (T, B, Din)
+    mask, or None for the first layer, whose input is the embedding, and
+    for every layer at dropout 0."""
+    if not dropout:
+        return [None] * len(layers)
+    keep = 1.0 - dropout
+    return [None] + [(rng.random(shape + (layer.Wx.shape[0],)) < keep).astype(dtype) / keep for layer in layers[1:]]
+
+
+def _direction_forward(x, mask, layers, reverse, train, drop_masks):
+    """Run one direction's stack, with ``drop_masks`` (one per layer,
+    None for no dropout) on the layers' inputs; returns its per-layer
+    outputs and, with ``train``, the caches, dropout masks and residual
+    sums backward needs (None without ``train``, which keeps no per-step
+    arrays)."""
     inp = x
-    caches, drop_masks, res_pre, outs = [], [], [], []
-    for i, layer in enumerate(layers):
-        dm = None
-        if i > 0 and train and config.dropout > 0.0:
-            keep = 1.0 - config.dropout
-            dm = (rng.random(inp.shape) < keep).astype(inp.dtype) / keep
+    caches, res_pre, outs = [], [], []
+    for i, (layer, dm) in enumerate(zip(layers, drop_masks)):
+        if dm is not None:
             inp = inp * dm
-        drop_masks.append(dm)
         out, cache = lstm_layer_forward(inp, mask, layer, reverse=reverse, keep_cache=train)
         caches.append(cache)
         s = None
@@ -131,9 +142,12 @@ def _direction_forward(x, mask, layers, config, reverse, train, rng):
 
 
 # Entity-head logits (rows x |E|) per block of ``_direction_heads``: 16 MiB
-# of float32. Below it a direction's heads take one block, which is the
-# unblocked computation, bit for bit.
+# of float32, split between the two workers' row halves, so one block's
+# cells are in flight at a time. Below it a direction's heads take one
+# block.
 HEAD_BLOCK_CELLS = 2**22
+
+_HEAD_GRADS = ("sm_ent_W", "sm_ent_b", "sm_rel_W", "sm_rel_b")
 
 
 def _direction_heads(top, batch, params, reverse, n_events, head_grads):
@@ -145,12 +159,16 @@ def _direction_heads(top, batch, params, reverse, n_events, head_grads):
     t-1.
 
     The M = (T-1)·B rows run in blocks of ``HEAD_BLOCK_CELLS // |E|``
-    rows (at least one). A block makes its logits, probabilities and
-    logit gradient for both heads, adds its head gradients and writes its
-    rows of ``dtop``, then drops them, so at most one block's (rows, |E|)
-    and (rows, |R|) matrices are alive. The per-row NLLs are gathered and
-    reduced once, so the loss does not depend on the block size; the
-    head gradients' sums over rows do, in their float rounding."""
+    rows (at least one), and each block's rows in two halves, one per
+    worker (:func:`kglm.workers.split_rows`). A half makes its logits,
+    probabilities and logit gradient for both heads, its partial head
+    gradients and its rows of ``dtop``, then drops them, so at most one
+    block's (rows, |E|) and (rows, |R|) matrices are alive. Each block
+    sums its two halves' partial gradients, then adds the sum into
+    ``head_grads``: one order, whichever worker finishes first. The
+    per-row NLLs are gathered and reduced once, so the loss
+    does not depend on the block size; the head gradients' sums over rows
+    do, in their float rounding."""
     T, B, P = top.shape
     src, tgt = (slice(1, None), slice(None, -1)) if reverse else (slice(None, -1), slice(1, None))
     ev = batch.mask[1:].reshape(-1)
@@ -158,16 +176,11 @@ def _direction_heads(top, batch, params, reverse, n_events, head_grads):
     te = batch.ents[tgt].reshape(-1)
     tr = batch.rels[tgt].reshape(-1)
     dtop = np.zeros_like(top)
-    dS = dtop[src].reshape(-1, P)  # a view: blocks write dtop's rows
-    step = max(1, HEAD_BLOCK_CELLS // params.sm_ent_W.shape[1])
-    nll_e, nll_r = [], []
-    for r0 in range(0, len(S), step):
-        blk = slice(r0, r0 + step)
-        probs_e, blk_nll_e = _head(S[blk], params.sm_ent_W, params.sm_ent_b, te[blk])
-        probs_r, blk_nll_r = _head(S[blk], params.sm_rel_W, params.sm_rel_b, tr[blk])
-        nll_e.append(blk_nll_e)
-        nll_r.append(blk_nll_r)
+    dS = dtop[src].reshape(-1, P)  # a view: the halves write dtop's rows
 
+    def half(blk):
+        probs_e, nll_e = _head(S[blk], params.sm_ent_W, params.sm_ent_b, te[blk])
+        probs_r, nll_r = _head(S[blk], params.sm_rel_W, params.sm_rel_b, tr[blk])
         # Each row's logit gradient is (probs - onehot) * ev / n_events. The
         # probabilities become (probs - onehot) in place, and the row weights
         # go on the (rows, P) side of each product, never over (rows, |V|).
@@ -178,14 +191,23 @@ def _direction_heads(top, batch, params, reverse, n_events, head_grads):
         dlog_r = probs_r
         dlog_r[rows, tr[blk]] -= 1.0
         Sw = S[blk] * weight[:, None]
-        head_grads["sm_ent_W"] += Sw.T @ dlog_e
-        head_grads["sm_ent_b"] += weight @ dlog_e
-        head_grads["sm_rel_W"] += Sw.T @ dlog_r
-        head_grads["sm_rel_b"] += weight @ dlog_r
+        grads = (Sw.T @ dlog_e, weight @ dlog_e, Sw.T @ dlog_r, weight @ dlog_r)
 
         np.matmul(dlog_e, params.sm_ent_W.T, out=dS[blk])
         dS[blk] += dlog_r @ params.sm_rel_W.T
         dS[blk] *= weight[:, None]
+        return nll_e, nll_r, grads
+
+    step = max(1, HEAD_BLOCK_CELLS // params.sm_ent_W.shape[1])
+    nll_e, nll_r = [], []
+    for r0 in range(0, len(S), step):
+        first, second = workers.split_rows(half, r0, min(r0 + step, len(S)))
+        nll_e += [first[0], second[0]]
+        nll_r += [first[1], second[1]]
+        for name, g1, g2 in zip(_HEAD_GRADS, first[2], second[2]):
+            g1 += g2
+            head_grads[name] += g1
+        del first, second  # the partial gradients do not outlive their block
     total = float(((np.concatenate(nll_e) + np.concatenate(nll_r)) * ev).sum())
     return total, dtop
 
@@ -197,12 +219,21 @@ def bilm_states(batch, params, config, train=False, rng=None):
     needs from the stacks: each layer's per-step BPTT arrays (see
     :func:`~kglm.lstm.lstm_layer_forward`), dropout masks and residual
     sums. Without it no dropout is applied, ``caches`` is None, and only
-    the embeddings and every layer's outputs are kept."""
+    the embeddings and every layer's outputs are kept.
+
+    The two directions run on the two workers. Their dropout masks are
+    drawn before either starts, the forward direction's first, so the
+    stream does not depend on which worker gets ahead."""
     x = np.concatenate(
         [params.ent_emb[batch.ents], params.rel_emb[batch.rels]], axis=2
     )
-    outs_f, cache_f = _direction_forward(x, batch.mask, params.fwd, config, False, train, rng)
-    outs_b, cache_b = _direction_forward(x, batch.mask, params.bwd, config, True, train, rng)
+    dropout = config.dropout if train else 0.0
+    drop_f = _dropout_masks(rng, dropout, params.fwd, batch.ents.shape, x.dtype)
+    drop_b = _dropout_masks(rng, dropout, params.bwd, batch.ents.shape, x.dtype)
+    (outs_f, cache_f), (outs_b, cache_b) = workers.run_pair(
+        lambda: _direction_forward(x, batch.mask, params.fwd, False, train, drop_f),
+        lambda: _direction_forward(x, batch.mask, params.bwd, True, train, drop_b),
+    )
     states = LayerStates(x=x, fwd=np.stack(outs_f), bwd=np.stack(outs_b))
     return states, ({"fwd": cache_f, "bwd": cache_b} if train else None)
 
@@ -260,15 +291,18 @@ def _direction_backward(tag, dtop, dir_cache, layers, grads):
 
 def bilm_backward(result, params):
     """Gradients of the mean loss for every parameter block, from the
-    forward result's cache, which it leaves unchanged."""
+    forward result's cache, which it leaves unchanged. The two
+    directions' BPTT runs on the two workers, each writing only its own
+    stack's gradient blocks."""
     cache = result.cache
     batch = cache["batch"]
     grads = {name: np.zeros_like(arr) for name, arr in params.flat().items()}
     grads.update({name: g.copy() for name, g in cache["head_grads"].items()})
-    dx = np.zeros_like(cache["x"])
-    for tag, layers in (("fwd", params.fwd), ("bwd", params.bwd)):
-        dx += _direction_backward(tag, cache["dtop"][tag], cache[tag], layers, grads)
-
+    dx_f, dx_b = workers.run_pair(
+        lambda: _direction_backward("fwd", cache["dtop"]["fwd"], cache["fwd"], params.fwd, grads),
+        lambda: _direction_backward("bwd", cache["dtop"]["bwd"], cache["bwd"], params.bwd, grads),
+    )
+    dx = dx_f + dx_b
     dx *= batch.mask[:, :, None]
     d_e = params.ent_emb.shape[1]
     np.add.at(grads["ent_emb"], batch.ents, dx[:, :, :d_e])

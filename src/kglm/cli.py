@@ -276,19 +276,63 @@ def dispatch(subcommand, rc):
 
 def pin_allocator():
     """Pin glibc's mmap threshold at its 32 MiB cap and the heap trim at
-    64 MiB; False where there is no ``mallopt``. Left to follow the blocks
-    freed so far, the threshold put one train stage's peak RSS at 127 or
-    145 MB from one process to the next, at one seed and input."""
+    64 MiB, and keep one malloc arena; False where there is no
+    ``mallopt``. Left to follow the blocks freed so far, the threshold put
+    one train stage's peak RSS at 127 or 145 MB from one process to the
+    next, at one seed and input. A second arena, which glibc gives the
+    pool thread of :mod:`kglm.workers`, keeps its own freed blocks: it
+    raised the ``pipeline-mid`` benchmark's peak RSS from 83 to 86 MB on
+    a 2-vCPU host."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return False
-    return mallopt(-3, 32 << 20) == 1 == mallopt(-1, 64 << 20)  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
+    return mallopt(-3, 32 << 20) == 1 == mallopt(-1, 64 << 20) == mallopt(-8, 1)
+
+
+# OpenBLAS thread-count setters: scipy-openblas's (the build numpy wheels
+# carry), then a plain build's
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _loaded_blas_libraries():
+    """Paths of the OpenBLAS libraries mapped into this process, from
+    ``/proc/self/maps`` (none where there is no ``/proc``). numpy loads
+    its own with RTLD_LOCAL, so its symbols are not global and
+    ``ctypes.CDLL(None)`` does not find them."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            mapped = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    return sorted({f[5].strip() for f in mapped if len(f) == 6 and "openblas" in f[5]})
+
+
+def pin_blas():
+    """Pin OpenBLAS to one thread, so that a product's rounding, and so
+    every artifact's bytes, do not depend on the host's core count; the
+    two fixed workers of :mod:`kglm.workers` use the cores instead.
+    Where no OpenBLAS setter is found it logs one warning and goes on."""
+    for path in _loaded_blas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+    logger.warning("no OpenBLAS thread setter found; BLAS keeps its own thread count, "
+                   "so artifact bytes may depend on the host's core count")
 
 
 def main(argv=None):
     pin_allocator()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    pin_blas()
     parser = argparse.ArgumentParser(
         prog="kglm",
         description="Contextual knowledge-graph embeddings from random-walk chains.",

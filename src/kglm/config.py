@@ -162,7 +162,8 @@ _FLAG_HELP = {
     "p": {"help": f"walk return parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
     "q": {"help": f"walk in-out parameter, in [1/{MAX_BIAS:g}, {MAX_BIAS:g}]"},
     "init": {"help": "scorer embedding init: learned contextual table or random"},
-    "threads": {"help": "ignored: no stage reads it; kept so existing command lines still parse"},
+    "threads": {"help": "ignored: kglm always runs two workers at one BLAS thread; kept so existing command "
+                           "lines still parse"},
 }
 
 

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .files import atomic_open
 from .graph import check_ids
 
-# score cells per block: float64 score blocks of about 8 MB
+# score cells per block, split between the two workers' halves: float64
+# score blocks of about 8 MB
 BLOCK_CELLS = 2**20
 # the k of the reported hits@k
 HITS_K = 10
@@ -116,7 +118,9 @@ def _block_ranks(scorer, block, side, filter_index, ent_sq):
 
 
 def link_prediction_eval(scorer, test_triples, filter_index):
-    """Rank every test triple on both sides, in blocks of queries."""
+    """Rank every test triple on both sides, in blocks of queries, each
+    block's two halves on the two workers. A query's rank depends on its
+    own row alone, so the halves give the ranks one block would."""
     test_triples = np.asarray(test_triples, dtype=np.int64)
     if len(test_triples) == 0:
         raise ValueError("empty test split")
@@ -128,11 +132,14 @@ def link_prediction_eval(scorer, test_triples, filter_index):
     check_ids(test_triples, n_ent, n_rel, "test triple")
     ent_sq = np.einsum("ed,ed->e", scorer.ent, scorer.ent) if scorer.kind == "translational" else None
     ranks = {side: np.empty(len(test_triples), dtype=np.int64) for side in ("head", "tail")}
+
+    def rank_rows(rows):
+        for side, out in ranks.items():
+            out[rows] = _block_ranks(scorer, test_triples[rows], side, filter_index, ent_sq)
+
     step = max(1, BLOCK_CELLS // n_ent)
     for start in range(0, len(test_triples), step):
-        block = test_triples[start : start + step]
-        for side, out in ranks.items():
-            out[start : start + len(block)] = _block_ranks(scorer, block, side, filter_index, ent_sq)
+        workers.split_rows(rank_rows, start, min(start + step, len(test_triples)))
     return RankingResult(head_ranks=ranks["head"], tail_ranks=ranks["tail"])
 
 

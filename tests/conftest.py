@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kglm import kernels
+from kglm.cli import pin_blas
 from kglm.config import ConfigError, add_flags, merge
 from kglm.datasets import make_clustered_kg, split_triples
 from kglm.extract import aggregate_static
@@ -16,6 +17,10 @@ from kglm.graph import build_filter_index, build_graph
 from kglm.model import ModelConfig
 from kglm.train import train_bilm
 from kglm.walker import Corpus, WalkConfig, generate_corpus
+
+# one BLAS thread, as the CLI runs: the two workers of kglm.workers use
+# the cores, and BLAS threads of their own would only contend with them
+pin_blas()
 
 
 @pytest.fixture

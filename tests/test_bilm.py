@@ -1,7 +1,11 @@
+import sys
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from kglm import bilm, gradcheck
+from kglm import bilm, gradcheck, workers
 from kglm.bilm import (
     bilm_backward,
     bilm_forward,
@@ -11,6 +15,7 @@ from kglm.bilm import (
     softmax_nll,
 )
 from kglm.cli import GRADCHECK_TOLERANCE
+from kglm.extract import aggregate_layered
 from kglm.gradcheck import run_gradcheck
 from kglm.model import ModelConfig, init_params
 from kglm.walker import Corpus, WalkConfig, generate_corpus, read_corpus
@@ -333,3 +338,59 @@ class TestGradients:
             "cache.head_grads.sm_ent_W": params.sm_ent_W.shape,
             "cache.head_grads.sm_ent_b": params.sm_ent_b.shape,
         }
+
+
+class InlinePool:
+    """A stand-in for the worker pool that runs each call at once on the
+    calling thread: the two halves run one after the other."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestTwoWorkers:
+    @staticmethod
+    def run(monkeypatch, params, config, corpus):
+        threads = set()
+        layer_forward = bilm.lstm_layer_forward
+
+        def record(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return layer_forward(*args, **kwargs)
+
+        monkeypatch.setattr(bilm, "lstm_layer_forward", record)
+        result = bilm_forward(pack_batch(corpus, dtype=config.dtype), params, config, rng=np.random.default_rng(31))
+        grads = bilm_backward(result, params)
+        sums = aggregate_layered(corpus, params, config)
+        return result, grads, sums, threads
+
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_threaded_equals_serial(self, monkeypatch, block_rows):
+        # at one BLAS thread the halves fix the sums, not the timing; with
+        # blocks of 5 of the 36 rows each direction's heads take eight
+        # blocks, the last one of a single row and so with an empty half
+        n_ent = 11
+        config = small_config(dropout=0.3, precision="f32")
+        params = init_params(config, n_ent, 4)
+        rng = np.random.default_rng(30)
+        corpus = pair_corpus([(rng.integers(n_ent, size=n), rng.integers(4, size=n)) for n in (6, 3, 7, 2, 6, 4)])
+        if block_rows:
+            monkeypatch.setattr(bilm, "HEAD_BLOCK_CELLS", block_rows * n_ent)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads switch as often as they can
+        try:
+            threaded = self.run(monkeypatch, params, config, corpus)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(workers, "_POOL", InlinePool())
+        serial = self.run(monkeypatch, params, config, corpus)
+        assert len(threaded[3]) == 2 and len(serial[3]) == 1
+        for name in ("loss", "loss_fwd", "loss_bwd"):
+            assert getattr(threaded[0], name) == getattr(serial[0], name), name
+        assert threaded[1].keys() == serial[1].keys() == params.flat().keys()
+        for name in threaded[1]:
+            assert np.array_equal(threaded[1][name], serial[1][name]), name
+        for got, want in zip(threaded[2], serial[2]):
+            assert np.array_equal(got, want)

@@ -1,7 +1,12 @@
+import ctypes
+import filecmp
+import logging
 import os
 import platform
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 
@@ -217,6 +222,52 @@ class TestParseConfig:
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_allocator_thresholds_are_pinned():
     assert kglm.cli.pin_allocator()
+
+
+def _blas_symbol(name):
+    for path in kglm.cli._loaded_blas_libraries():
+        fn = getattr(ctypes.CDLL(path), name, None)
+        if fn is not None:
+            return fn
+    pytest.skip(f"no OpenBLAS with {name} is loaded")
+
+
+class TestBlasPin:
+    def test_main_pins_one_blas_thread(self, tiny_dataset, tmp_path):
+        get = _blas_symbol("scipy_openblas_get_num_threads64_")
+        _blas_symbol("scipy_openblas_set_num_threads64_")(2)
+        assert get() == 2
+        assert main(["ingest", *tiny_flags(tiny_dataset, str(tmp_path / "run"))]) == 0
+        assert get() == 1
+
+    def test_missing_setter_warns_once_and_the_stage_runs(self, tiny_dataset, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(kglm.cli, "_BLAS_SETTERS", ("no_such_blas_setter",))
+        with caplog.at_level("WARNING", logger="kglm.cli"):
+            assert main(["ingest", *tiny_flags(tiny_dataset, str(tmp_path / "run"))]) == 0
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "no OpenBLAS thread setter" in warnings[0].message
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # heads' GEMMs large enough for OpenBLAS to split them over two
+        # threads when it may; without the pin model.ckpt differs
+        triples = make_clustered_kg(n_entities=400, n_relations=8, n_triples=1600, n_clusters=4, seed=1)
+        train, valid, test = write_split_files(str(tmp_path), triples, seed=1)
+        flags = ["--train", train, "--valid", valid, "--test", test,
+                 "--walks-per-node", "1", "--walk-length", "11", "--layers", "1", "--hidden", "16", "--proj", "16",
+                 "--entity-dim", "8", "--relation-dim", "8", "--batch", "256", "--epochs", "1", "--seed", "3"]
+        outs = [str(tmp_path / f"blas{n}") for n in (1, 2)]
+        assert main(["walk", *flags, "--out", outs[0]]) == 0
+        os.makedirs(outs[1])
+        shutil.copyfile(os.path.join(outs[0], "corpus.txt"), os.path.join(outs[1], "corpus.txt"))
+        src = os.path.dirname(os.path.dirname(kglm.cli.__file__))
+        for out, n in zip(outs, (1, 2)):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n))
+            for stage in ("train", "export"):
+                proc = subprocess.run([sys.executable, "-m", "kglm.cli", stage, *flags, "--out", out],
+                                      env=env, capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr[-2000:]
+        for name in ("model.ckpt", "embeddings.entities.vec", "embeddings.relations.vec"):
+            assert filecmp.cmp(*(os.path.join(out, name) for out in outs), shallow=False), name
 
 
 class TestDispatch:

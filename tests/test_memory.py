@@ -63,6 +63,38 @@ def test_softmax_heads_hold_one_block(monkeypatch):
     assert peak < 4 * block_bytes
 
 
+def test_heads_of_a_forward_pass_hold_one_block(monkeypatch):
+    # a full forward pass with both workers live: each block's two row
+    # halves together hold one block's (rows, |E|) matrix, and the two
+    # directions' heads never run at once. 32 blocks of 64 rows.
+    monkeypatch.setattr(bilm, "HEAD_BLOCK_CELLS", 2**18)
+    config = ModelConfig(num_layers=1, hidden_units=8, proj_dim=4, entity_dim=4, relation_dim=4,
+                         dropout=0.0, batch_size=250, precision="f32", seed=0)
+    n_ent, n_rel = 4096, 6
+    params = init_params(config, n_ent, n_rel)
+    rng = np.random.default_rng(3)
+    T, B = 9, 250
+    batch = pack_batch(pair_corpus([(rng.integers(n_ent, size=T), rng.integers(n_rel, size=T)) for _ in range(B)]),
+                       dtype=np.float32)
+    heads, peaks = bilm._direction_heads, []
+
+    def traced_heads(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = heads(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(bilm, "_direction_heads", traced_heads)
+    tracemalloc.start()
+    try:
+        bilm.bilm_forward(batch, params, config)
+    finally:
+        tracemalloc.stop()
+    block_bytes = bilm.HEAD_BLOCK_CELLS * np.dtype(np.float32).itemsize
+    assert len(peaks) == 2 and max(peaks) < 1.5 * block_bytes, (peaks, block_bytes)
+
+
 def test_training_holds_one_batch_of_caches():
     # a wide cell, so a batch's BPTT caches outweigh the parameters and
     # the optimizer state: four batches must peak like one, not like the
