@@ -263,7 +263,6 @@ def bilm_forward(batch, params, config, rng=None):
         states=states,
         cache={
             "batch": batch,
-            "x": states.x,
             **stack_caches,
             "dtop": {"fwd": dtop_f, "bwd": dtop_b},
             "head_grads": head_grads,

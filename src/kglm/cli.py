@@ -276,19 +276,19 @@ def dispatch(subcommand, rc):
 
 def pin_allocator():
     """Pin glibc's mmap threshold at its 32 MiB cap and the heap trim at
-    64 MiB, and keep one malloc arena; False where there is no
-    ``mallopt``. Left to follow the blocks freed so far, the threshold put
-    one train stage's peak RSS at 127 or 145 MB from one process to the
-    next, at one seed and input. A second arena, which glibc gives the
-    pool thread of :mod:`kglm.workers`, keeps its own freed blocks: it
-    raised the ``pipeline-mid`` benchmark's peak RSS from 83 to 86 MB on
-    a 2-vCPU host."""
+    64 MiB, and keep one malloc arena; returns whether all three took.
+    Left to follow the blocks freed so far, the threshold put one train
+    stage's peak RSS at 127 or 145 MB from one process to the next, at
+    one seed and input. A second arena, which glibc gives the pool thread
+    of :mod:`kglm.workers`, keeps its own freed blocks: it raised the
+    ``pipeline-mid`` benchmark's peak RSS from 83 to 86 MB on a 2-vCPU
+    host."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return False
-    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
-    return mallopt(-3, 32 << 20) == 1 == mallopt(-1, 64 << 20) == mallopt(-8, 1)
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX, each set even if one before it fails
+    return all([mallopt(-3, 32 << 20) == 1, mallopt(-1, 64 << 20) == 1, mallopt(-8, 1) == 1])
 
 
 # OpenBLAS thread-count setters: scipy-openblas's (the build numpy wheels

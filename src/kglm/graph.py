@@ -116,9 +116,9 @@ class KnowledgeGraph:
     ``triples`` holds the deduplicated input triples as id rows (n, 3).
     Adjacency is CSR over outgoing edges and, when inverses are enabled,
     contains one ``(t, r^-1, h)`` edge right after each stored
-    ``(h, r, t)``. ``nbr_off``/``nbr_sorted`` index the sorted unique
-    out-neighbors per entity, used for the second-order distance test
-    during walks.
+    ``(h, r, t)``. ``nbr_keys`` holds the sorted unique keys
+    ``src * |E| + nbr`` of every out-neighbor pair, for the second-order
+    distance test during walks.
     """
 
     entities: Vocab
@@ -128,8 +128,7 @@ class KnowledgeGraph:
     adj_off: np.ndarray
     adj_rel: np.ndarray
     adj_nbr: np.ndarray
-    nbr_off: np.ndarray
-    nbr_sorted: np.ndarray
+    nbr_keys: np.ndarray
 
     @property
     def n_entities(self):
@@ -152,8 +151,9 @@ class KnowledgeGraph:
         return int(self.adj_off[entity_id + 1] - self.adj_off[entity_id])
 
     def neighbors_sorted(self, entity_id):
-        lo, hi = self.nbr_off[entity_id], self.nbr_off[entity_id + 1]
-        return self.nbr_sorted[lo:hi]
+        base = entity_id * self.n_entities
+        lo, hi = self.nbr_keys.searchsorted(base), self.nbr_keys.searchsorted(base + self.n_entities)
+        return self.nbr_keys[lo:hi] - base
 
     def has_neighbor(self, entity_id, other_id):
         nbrs = self.neighbors_sorted(entity_id)
@@ -239,7 +239,6 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
         src, rel, nbr = h, r, t
     # a stable sort keeps each entity's edges in input order
     order = np.argsort(src, kind="stable")
-    keys = np.unique(src * n_ent + nbr)
 
     return KnowledgeGraph(
         entities=entities,
@@ -249,8 +248,7 @@ def build_graph(triples, add_inverses=True, extra_entities=()):
         adj_off=_offsets(src, n_ent),
         adj_rel=rel[order],
         adj_nbr=nbr[order],
-        nbr_off=_offsets(keys // n_ent, n_ent),
-        nbr_sorted=keys % n_ent,
+        nbr_keys=np.unique(src * n_ent + nbr),
     )
 
 

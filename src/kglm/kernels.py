@@ -11,7 +11,6 @@ math the LSTM layers use. Matrix products stay in numpy/BLAS.
 import numpy as np
 
 __all__ = [
-    "neighbor_keys",
     "walk_steps",
     "step_choice",
     "lstm_gates_forward",
@@ -36,19 +35,13 @@ __all__ = [
 PROPOSALS_PER_ROUND = 16384
 
 
-def neighbor_keys(nbr_off, nbr_sorted):
-    """The sorted keys ``src * N + nbr`` of the neighbor sets that
-    ``nbr_off``/``nbr_sorted`` hold, for membership tests."""
-    n = len(nbr_off) - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(nbr_off)) * n + nbr_sorted
-
-
 def step_choice(adj_off, adj_nbr, nbr_keys, prev, cur, rng, inv_p, inv_q):
     """Advance walks by one step. ``prev`` and ``cur`` are (W,) arrays:
     the previous node (-1 before the first step) and the current node,
-    which must have out-edges; ``nbr_keys`` comes from
-    :func:`neighbor_keys`. Returns the chosen CSR edge index per walk,
-    drawn from ``rng``. A first step is uniform over the out-edges."""
+    which must have out-edges; ``nbr_keys`` holds the sorted keys
+    ``src * N + nbr`` of the N entities' neighbor pairs (the graph's
+    ``nbr_keys``). Returns the chosen CSR edge index per walk, drawn from
+    ``rng``. A first step is uniform over the out-edges."""
     n = len(adj_off) - 1
     top = max(inv_p, 1.0, inv_q)
     lo = adj_off[cur]
@@ -70,13 +63,12 @@ def step_choice(adj_off, adj_nbr, nbr_keys, prev, cur, rng, inv_p, inv_q):
     return edge
 
 
-def walk_steps(adj_off, adj_rel, adj_nbr, nbr_off, nbr_sorted, starts, n_steps, rng, inv_p, inv_q):
+def walk_steps(adj_off, adj_rel, adj_nbr, nbr_keys, starts, n_steps, rng, inv_p, inv_q):
     """Walk ``n_steps`` steps from each of ``starts`` (W,), drawing from
     ``rng``. Returns (ents (W, n_steps + 1), rels (W, n_steps), steps
     (W,)): row i's first steps[i] + 1 entities and steps[i] relations
     are its walk, which stops early at a dead end; the rest of the row
     is -1."""
-    nbr_keys = neighbor_keys(nbr_off, nbr_sorted)
     n_walks = len(starts)
     ents = np.full((n_walks, n_steps + 1), -1, dtype=np.int64)
     rels = np.full((n_walks, n_steps), -1, dtype=np.int64)

@@ -6,10 +6,10 @@ the true entity worst among equals, and a NaN score never ranks the true
 entity higher, so reported metrics are lower bounds; a constant or
 broken scorer cannot look good.
 
-:func:`link_prediction_eval` scores the test queries in blocks, one
-GEMM against every entity per block (the 1-N scoring of ConvE, Dettmers
-et al. 2018); :func:`filtered_rank` ranks one query at a time and is the
-reference the blocked ranks are tested against.
+:func:`link_prediction_eval` ranks the test queries in blocks of scores
+that the scorer supplies, each block against every entity (the 1-N
+scoring of ConvE, Dettmers et al. 2018); :func:`filtered_rank` ranks one
+query at a time and is the reference the blocked ranks are tested against.
 """
 
 from collections import defaultdict
@@ -85,32 +85,12 @@ class RankingResult:
         return rows
 
 
-def _block_scores(scorer, block, side, ent_sq):
-    """(len(block), |E|) scores of every entity as the ``side`` answer of
-    each query row; ``ent_sq`` holds the squared entity norms."""
-    ent = scorer.ent
-    e_r = scorer.rel[block[:, 1]]
-    if scorer.kind == "bilinear":
-        query = ent[block[:, 0]] * e_r if side == "tail" else e_r * ent[block[:, 2]]
-        return query @ ent.T
-    # -||a - e|| for every entity e, through ||a||^2 - 2 a.e + ||e||^2
-    a = ent[block[:, 0]] + e_r if side == "tail" else ent[block[:, 2]] - e_r
-    scores = a @ ent.T
-    scores *= -2.0
-    scores += np.einsum("qd,qd->q", a, a)[:, None]
-    scores += ent_sq
-    # rounding can push a zero distance below 0; np.maximum keeps NaN
-    np.maximum(scores, 0.0, out=scores)
-    np.sqrt(scores, out=scores)
-    return np.negative(scores, out=scores)
-
-
-def _block_ranks(scorer, block, side, filter_index, ent_sq):
+def _block_ranks(scorer, block, side, filter_index):
     """Pessimistic filtered ranks of the true ``side`` entity of each
     query row, by the rule of :func:`filtered_rank`."""
     rows = np.arange(len(block))
     true_ids = block[:, 0] if side == "head" else block[:, 2]
-    scores = _block_scores(scorer, block, side, ent_sq)
+    scores = scorer.block_scores(block, side)
     ahead = ~(scores < scores[rows, true_ids][:, None])
     ahead[filter_index.known_answers(side, block)] = False
     ahead[rows, true_ids] = False
@@ -120,22 +100,22 @@ def _block_ranks(scorer, block, side, filter_index, ent_sq):
 def link_prediction_eval(scorer, test_triples, filter_index):
     """Rank every test triple on both sides, in blocks of queries, each
     block's two halves on the two workers. A query's rank depends on its
-    own row alone, so the halves give the ranks one block would."""
+    own row alone, so the halves give the ranks one block would. Of
+    ``scorer`` it reads only ``block_scores``, ``n_entities`` and ``n_relations``."""
     test_triples = np.asarray(test_triples, dtype=np.int64)
     if len(test_triples) == 0:
         raise ValueError("empty test split")
     n_ent, n_rel = filter_index.n_entities, filter_index.n_relations
-    if scorer.ent.shape[0] != n_ent:
-        raise ValueError(f"scorer has {scorer.ent.shape[0]} entity rows, the filter index {n_ent} entities")
-    if scorer.rel.shape[0] != n_rel:
-        raise ValueError(f"scorer has {scorer.rel.shape[0]} relation rows, the filter index {n_rel} relations")
+    if scorer.n_entities != n_ent:
+        raise ValueError(f"scorer has {scorer.n_entities} entity rows, the filter index {n_ent} entities")
+    if scorer.n_relations != n_rel:
+        raise ValueError(f"scorer has {scorer.n_relations} relation rows, the filter index {n_rel} relations")
     check_ids(test_triples, n_ent, n_rel, "test triple")
-    ent_sq = np.einsum("ed,ed->e", scorer.ent, scorer.ent) if scorer.kind == "translational" else None
     ranks = {side: np.empty(len(test_triples), dtype=np.int64) for side in ("head", "tail")}
 
     def rank_rows(rows):
         for side, out in ranks.items():
-            out[rows] = _block_ranks(scorer, test_triples[rows], side, filter_index, ent_sq)
+            out[rows] = _block_ranks(scorer, test_triples[rows], side, filter_index)
 
     step = max(1, BLOCK_CELLS // n_ent)
     for start in range(0, len(test_triples), step):

@@ -48,10 +48,18 @@ class Scorer:
     def dim(self):
         return self.ent.shape[1]
 
+    @property
+    def n_entities(self):
+        return self.ent.shape[0]
+
+    @property
+    def n_relations(self):
+        return self.rel.shape[0]
+
     def _check(self, h, r, t):
-        if not (0 <= h < self.ent.shape[0] and 0 <= t < self.ent.shape[0]):
+        if not (0 <= h < self.n_entities and 0 <= t < self.n_entities):
             raise ValueError(f"unknown entity id in ({h}, {r}, {t})")
-        if not 0 <= r < self.rel.shape[0]:
+        if not 0 <= r < self.n_relations:
             raise ValueError(f"unknown relation id {r}")
 
     def score(self, h, r, t):
@@ -63,7 +71,7 @@ class Scorer:
     def score_batch(self, triples):
         """Scores of the (n, 3) id rows, one batched pass."""
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        check_ids(triples, self.ent.shape[0], self.rel.shape[0], "triple")
+        check_ids(triples, self.n_entities, self.n_relations, "triple")
         return _score_batch(self, triples)[0]
 
     def score_all_heads(self, r, t):
@@ -73,9 +81,30 @@ class Scorer:
         return self.ent @ (self.rel[r] * self.ent[t])
 
     def score_all_tails(self, h, r):
+        """Scores of (h, r, e) for every entity e."""
         if self.kind == "translational":
             return -np.linalg.norm(self.ent[h] + self.rel[r] - self.ent, axis=1)
         return self.ent @ (self.ent[h] * self.rel[r])
+
+    def block_scores(self, block, side):
+        """(len(block), |E|) scores of every entity as the ``side`` answer
+        (head or tail) of each (n, 3) id row of ``block``, in one GEMM: the
+        rows' :meth:`score_all_heads` or :meth:`score_all_tails` up to rounding."""
+        ent = self.ent
+        e_r = self.rel[block[:, 1]]
+        if self.kind == "bilinear":
+            query = ent[block[:, 0]] * e_r if side == "tail" else e_r * ent[block[:, 2]]
+            return query @ ent.T
+        # -||a - e|| for every entity e, through ||a||^2 - 2 a.e + ||e||^2
+        a = ent[block[:, 0]] + e_r if side == "tail" else ent[block[:, 2]] - e_r
+        scores = a @ ent.T
+        scores *= -2.0
+        scores += np.einsum("qd,qd->q", a, a)[:, None]
+        scores += np.einsum("ed,ed->e", ent, ent)
+        # rounding can push a zero distance below 0; np.maximum keeps NaN
+        np.maximum(scores, 0.0, out=scores)
+        np.sqrt(scores, out=scores)
+        return np.negative(scores, out=scores)
 
 
 def save_scorer(path, scorer, key):

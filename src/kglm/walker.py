@@ -135,8 +135,7 @@ def generate_corpus(graph, config, out_path=None):
         graph.adj_off,
         graph.adj_rel,
         graph.adj_nbr,
-        graph.nbr_off,
-        graph.nbr_sorted,
+        graph.nbr_keys,
         starts,
         n_steps,
         seeds.derived_rng(config.seed, seeds.WALKS),

@@ -79,10 +79,9 @@ def step(graph, prev, cur, p, q, n, rng):
     all through one call of ``kernels.step_choice``, the kernel
     ``walk_steps`` runs, drawing from ``rng``. Returns the (relation ids,
     neighbor ids) arrays of the chosen edges."""
-    keys = kernels.neighbor_keys(graph.nbr_off, graph.nbr_sorted)
     prev = np.full(n, -1 if prev is None else prev, dtype=np.int64)
     cur = np.full(n, cur, dtype=np.int64)
-    edge = kernels.step_choice(graph.adj_off, graph.adj_nbr, keys, prev, cur, rng, 1.0 / p, 1.0 / q)
+    edge = kernels.step_choice(graph.adj_off, graph.adj_nbr, graph.nbr_keys, prev, cur, rng, 1.0 / p, 1.0 / q)
     return graph.adj_rel[edge], graph.adj_nbr[edge]
 
 

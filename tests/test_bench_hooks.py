@@ -1,8 +1,10 @@
 """The names the benchmark harness under perfbench/ wraps or patches must
-exist and be called, and its workload flags must parse, so a deletion,
-a bypassed entry point or a new bound that would break a benchmark run
-fails here. Nothing is patched in this process: the one test that
-installs the tracer runs the stages in a child interpreter."""
+exist and be called, its workload flags must parse, and its rank gate
+must re-rank the scorer eval-link ranked with, so a deletion, a bypassed
+entry point, a new bound or a scorer it cannot read that would break a
+benchmark run fails here. The tracer is never installed in this
+process: the one test that installs it runs the stages in a child
+interpreter."""
 
 import importlib
 import importlib.util
@@ -16,8 +18,9 @@ import pytest
 
 import kglm
 import kglm.cli
-from kglm.datasets import make_clustered_kg
+from kglm.datasets import make_clustered_kg, write_split_files
 from kglm.config import _KEYS
+from kglm.scoring import SCORER_KINDS
 
 from conftest import parse_config
 
@@ -45,27 +48,61 @@ def test_child_patch_point_resolves():
     assert callable(kglm.cli.link_prediction_eval)
 
 
+# a small LM and scorer for the desk-scale clustered graph
+DESK_FLAGS = [
+    "--walks-per-node", "2", "--walk-length", "9", "--layers", "2", "--hidden", "12", "--proj", "6",
+    "--entity-dim", "8", "--relation-dim", "6", "--batch", "64", "--epochs", "1",
+    "--scorer-epochs", "2", "--seed", "1", "--threads", "1",
+]
+
+
+def desk_split_flags(work):
+    """Writes the desk-scale clustered graph's splits under ``work``;
+    returns their flags, with --out at <work>/out."""
+    train, valid, test = write_split_files(str(work), make_clustered_kg(seed=1), seed=1)
+    return ["--train", train, "--valid", valid, "--test", test, "--out", os.path.join(work, "out")]
+
+
+def test_rank_gate_rereads_the_ranked_scorer(tmp_path, monkeypatch):
+    # child.py's capture of the scorer, then its rank gate on every test
+    # triple, for each scorer kind
+    gates = load_perfbench("gates")
+    captured = []
+    evaluate = kglm.cli.link_prediction_eval
+
+    def capture_scorer(scorer, *args, **kwargs):
+        captured.append(scorer)
+        return evaluate(scorer, *args, **kwargs)
+
+    monkeypatch.setattr(kglm.cli, "link_prediction_eval", capture_scorer)
+    flags = desk_split_flags(tmp_path) + DESK_FLAGS
+    for stage in ("ingest", "walk", "train", "export"):
+        assert kglm.cli.main([stage] + flags) == 0, stage
+    (train, valid, test), _, _ = gates.split_ids(str(tmp_path), str(tmp_path / "out"))
+    heads, tails = gates.known_answers(train, valid, test)
+    for kind in SCORER_KINDS:
+        assert kglm.cli.main(["eval-link", "--scorer-kind", kind] + flags) == 0, kind
+        checks = gates.Gates()
+        ranks = gates.read_ranks(checks, str(tmp_path / "out" / "link_ranks.tsv"), len(test))
+        rng = np.random.default_rng([1, 11])
+        gates.check_link_sample(checks, captured[-1], ranks, test, heads, tails, rng, n_sample=len(test))
+        assert captured[-1].kind == kind
+        assert checks.attempted == 3 * len(test) + 1 and checks.failed == 0, checks.messages
+
+
 # Runs the six CLI stages on a desk-scale clustered graph with the
 # tracer wrapping every target; writes the names of the spans that were
 # called to <work>/spans.json.
 TRACED_PIPELINE = """
 import json, os, sys
-src, perfbench, work = sys.argv[1:4]
+src, perfbench, work, flags = sys.argv[1:5]
 sys.path[:0] = [src, perfbench]
 import kglm.cli
-from kglm.config import _KEYS
-from kglm.datasets import make_clustered_kg, write_split_files
 from tracer import TARGETS, Tracer
 
 tracer = Tracer()
 tracer.install(TARGETS)
-train, valid, test = write_split_files(work, make_clustered_kg(seed=1), seed=1)
-flags = [
-    "--train", train, "--valid", valid, "--test", test, "--out", os.path.join(work, "out"),
-    "--walks-per-node", "2", "--walk-length", "9", "--layers", "2", "--hidden", "12", "--proj", "6",
-    "--entity-dim", "8", "--relation-dim", "6", "--batch", "64", "--epochs", "1",
-    "--scorer-epochs", "2", "--seed", "1", "--threads", "1",
-]
+flags = json.loads(flags)
 for stage in ("ingest", "walk", "train", "export", "eval-link", "eval-triple"):
     if kglm.cli.main([stage] + flags) != 0:
         sys.exit(f"stage {stage} failed")
@@ -80,7 +117,8 @@ UNCALLED_SPANS = {"bilm.log_softmax", "scoring.score_all", "ranking.filtered_ran
 
 def test_every_tracer_span_is_called(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_PIPELINE, SRC, PERFBENCH, str(tmp_path)],
+        [sys.executable, "-c", TRACED_PIPELINE, SRC, PERFBENCH, str(tmp_path),
+         json.dumps(desk_split_flags(tmp_path) + DESK_FLAGS)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]

@@ -224,6 +224,22 @@ def test_allocator_thresholds_are_pinned():
     assert kglm.cli.pin_allocator()
 
 
+def test_allocator_pin_makes_every_call_when_one_fails(monkeypatch):
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            pass
+
+        def mallopt(self, param, value):
+            calls.append(param)
+            return 0 if len(calls) == 1 else 1
+
+    monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
+    assert kglm.cli.pin_allocator() is False
+    assert calls == [-3, -1, -8]
+
+
 def _blas_symbol(name):
     for path in kglm.cli._loaded_blas_libraries():
         fn = getattr(ctypes.CDLL(path), name, None)

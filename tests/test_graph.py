@@ -71,12 +71,12 @@ def reference_index(triples, add_inverses, extra_entities):
         if add_inverses:
             adj_rel[cursor[t]], adj_nbr[cursor[t]] = r + n_base, h
             cursor[t] += 1
-    chunks = [np.unique(adj_nbr[adj_off[e] : adj_off[e + 1]]) for e in range(n_ent)]
-    nbr_off = np.zeros(n_ent + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in chunks], out=nbr_off[1:])
     for e in extra_entities:
         entities.add(e)
-    pad = len(entities) - n_ent
+    n_all = len(entities)
+    pad = n_all - n_ent
+    # each entity's sorted unique out-neighbors, keyed by their source
+    chunks = [e * n_all + np.unique(adj_nbr[adj_off[e] : adj_off[e + 1]]) for e in range(n_ent)]
     return {
         "entities": entities.items,
         "relations": relations.items,
@@ -84,8 +84,7 @@ def reference_index(triples, add_inverses, extra_entities):
         "adj_off": np.concatenate([adj_off, np.full(pad, adj_off[-1])]),
         "adj_rel": adj_rel,
         "adj_nbr": adj_nbr,
-        "nbr_off": np.concatenate([nbr_off, np.full(pad, nbr_off[-1])]),
-        "nbr_sorted": np.concatenate(chunks),
+        "nbr_keys": np.concatenate(chunks),
     }
 
 
@@ -206,7 +205,7 @@ class TestBuildGraph:
         ref = reference_index(triples, add_inverses, extra)
         assert g.entities.items == ref["entities"]
         assert g.relations.items == ref["relations"]
-        for name in ("triples", "adj_off", "adj_rel", "adj_nbr", "nbr_off", "nbr_sorted"):
+        for name in ("triples", "adj_off", "adj_rel", "adj_nbr", "nbr_keys"):
             got = getattr(g, name)
             assert got.dtype == np.int64, name
             assert np.array_equal(got, ref[name]), name
@@ -336,7 +335,7 @@ class TestDataset:
         for e in range(3, 6):
             rels, nbrs = graph.out_edges(e)
             assert len(rels) == len(nbrs) == len(graph.neighbors_sorted(e)) == 0
-        assert len(graph.adj_off) == len(graph.nbr_off) == 7
+        assert len(graph.adj_off) == 7
 
     def test_ingest_counts_isolated_entities(self, tmp_path):
         train, valid, test = three_splits(tmp_path)

@@ -213,7 +213,7 @@ class TestSampleWalk:
             rng = np.random.default_rng(seed)
             starts = np.repeat(np.arange(g.n_entities), 3)
             ents, rels, steps = kernels.walk_steps(
-                g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, 8, rng, 1.0 / p, 1.0 / q
+                g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_keys, starts, 8, rng, 1.0 / p, 1.0 / q
             )
             assert ents[:, 0].tolist() == starts.tolist()
             for i, k in enumerate(steps.tolist()):
@@ -234,8 +234,7 @@ class TestSampleWalk:
             pairs = [(None, hub), (near, hub), (hub, hub), (hub, near)]
             prev = np.repeat([-1 if x is None else x for x, _ in pairs], n)
             cur = np.repeat([c for _, c in pairs], n)
-            keys = kernels.neighbor_keys(g.nbr_off, g.nbr_sorted)
-            edge = kernels.step_choice(g.adj_off, g.adj_nbr, keys, prev, cur, rng, 1.0 / p, 1.0 / q)
+            edge = kernels.step_choice(g.adj_off, g.adj_nbr, g.nbr_keys, prev, cur, rng, 1.0 / p, 1.0 / q)
             for j, (x, c) in enumerate(pairs):
                 deg = g.out_degree(c)
                 counts = np.bincount(edge[j * n : (j + 1) * n] - g.adj_off[c], minlength=deg)
@@ -287,9 +286,7 @@ class TestSampleWalk:
         g = ring_graph
         starts = np.repeat(np.arange(g.n_entities), 3)
         rng = seeds.derived_rng(3, seeds.WALKS)
-        ents, rels, steps = kernels.walk_steps(
-            g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_off, g.nbr_sorted, starts, 4, rng, 2.0, 0.5
-        )
+        ents, rels, steps = kernels.walk_steps(g.adj_off, g.adj_rel, g.adj_nbr, g.nbr_keys, starts, 4, rng, 2.0, 0.5)
         corpus = generate_corpus(g, cfg)
         # the ring has no dead end: every walk takes all 4 steps
         assert steps.tolist() == [4] * len(starts) and corpus.lengths.tolist() == [5] * len(starts)
