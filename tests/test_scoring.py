@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,22 +222,18 @@ class TestBlockRanks:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_ranks_read_only_block_scores(self, monkeypatch, seed, block):
-        # an object with just the three members ranking may read, whose
-        # blocks are a real scorer's under an order-keeping affine map
-        class AffineScores:
-            def __init__(self, scorer):
-                self.n_entities, self.n_relations = scorer.n_entities, scorer.n_relations
-
-                def block_scores(block, side):
-                    return 4.0 * scorer.block_scores(block, side) - 0.5
-
-                self.block_scores = block_scores
-
         g, test, fidx = self._data(seed)
         monkeypatch.setattr(ranking, "BLOCK_CELLS", block * g.n_entities)
         for scorer in self._scorers(g, test, seed):
+            # just the three members ranking may read, with a real
+            # scorer's blocks under an order-keeping affine map
+            affine = SimpleNamespace(
+                n_entities=scorer.n_entities,
+                n_relations=scorer.n_relations,
+                block_scores=lambda block, side, s=scorer: 4.0 * s.block_scores(block, side) - 0.5,
+            )
             want = link_prediction_eval(scorer, test, fidx)
-            got = link_prediction_eval(AffineScores(scorer), test, fidx)
+            got = link_prediction_eval(affine, test, fidx)
             assert got.head_ranks.tolist() == want.head_ranks.tolist(), scorer.kind
             assert got.tail_ranks.tolist() == want.tail_ranks.tolist(), scorer.kind
 
